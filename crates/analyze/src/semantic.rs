@@ -1046,9 +1046,9 @@ mod tests {
              pub fn as_u8(self) -> u8 { match self { ErrorCode::BadMagic => 1, ErrorCode::BadFrame => 2 } }\n\
          }\n\
          pub fn put_events(out: &mut Vec<u8>) { out.push(frame_type::EVENT_BATCH); }\n\
-         pub fn decode(b: u8) -> Option<ClientFrame> {\n\
+         pub fn decode(b: u8) -> Option<ReqFrame> {\n\
              match b {\n\
-                 frame_type::EVENT_BATCH => Some(ClientFrame::Events),\n\
+                 frame_type::EVENT_BATCH => Some(ReqFrame::Events),\n\
                  _ => None,\n\
              }\n\
          }\n\
@@ -1078,7 +1078,7 @@ mod tests {
     #[test]
     fn l010_variant_mapping_covers_tests_and_kebab_strings() {
         let test_src = "fn t() {\n\
-                 let f = ClientFrame::Events;\n\
+                 let f = ReqFrame::Events;\n\
                  let s = \"bad-magic\";\n\
              }\n";
         let toks_proto = lex(PROTO_FIXTURE);
@@ -1117,7 +1117,7 @@ mod tests {
             .filter(|f| f.diag.rule == RuleId::WireExhaustive)
             .map(|f| f.diag.message.as_str())
             .collect();
-        // ClientFrame::Events in tests covers EVENT_BATCH via the decode
+        // ReqFrame::Events in tests covers EVENT_BATCH via the decode
         // arm mapping; "bad-magic" covers BadMagic.
         assert!(!msgs.iter().any(|m| m.contains("`EVENT_BATCH`") && m.contains("no test reference")), "{msgs:?}");
         assert!(!msgs.iter().any(|m| m.contains("`BadMagic`") && m.contains("no test reference")), "{msgs:?}");
@@ -1169,7 +1169,7 @@ mod tests {
     #[test]
     fn kebab_conversion_matches_display_names() {
         assert_eq!(camel_to_kebab("BadMagic"), "bad-magic");
-        assert_eq!(camel_to_kebab("MuxNotNegotiated"), "mux-not-negotiated");
+        assert_eq!(camel_to_kebab("DuplicateStream"), "duplicate-stream");
         assert_eq!(camel_to_kebab("Busy"), "busy");
     }
 }

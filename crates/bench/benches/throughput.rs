@@ -1,21 +1,11 @@
 //! Bench: end-to-end sweep-engine throughput on the Figure 6 grid, in
 //! branch events per second — the regression gate for the hot loop.
 //!
-//! Two grid evaluations are compared on identical work:
-//!
-//! * `grid_fig6_legacy` — a faithful replica of the pre-engine runner:
-//!   one thread per benchmark run, `Box<dyn IndirectPredictor>` dispatch
-//!   on every predict/update/observe, and `std::collections::HashMap`
-//!   (SipHash) per-branch accounting;
-//! * `grid_fig6_engine` — the current path: the `ibp-exec` work-stealing
-//!   pool over the (run × predictor) product with the monomorphized,
-//!   FxHash-backed simulation loop.
-//!
-//! Both include trace generation, exactly as their production
-//! counterparts do, and process the same event count, so the two
-//! `per_sec` figures are directly comparable on any machine. Two
-//! single-trace measurements (`simulate_dyn`, `simulate_mono`) isolate
-//! the per-event loop from scheduling.
+//! `grid_fig6_engine` times the production path: the `ibp-exec`
+//! work-stealing pool over the (run × predictor) product with the
+//! monomorphized, FxHash-backed simulation loop, trace generation
+//! included. Two single-trace measurements (`simulate_dyn`,
+//! `simulate_mono`) isolate the per-event loop from scheduling.
 //!
 //! A third single-trace measurement (`simulate_mono_raw`) re-times a
 //! verbatim copy of the loop with **no probe parameter at all** — the
@@ -38,66 +28,8 @@ use ibp_exec::{Executor, PoolStats};
 use ibp_metrics::Log2Histogram;
 use ibp_ppm::{PpmHybrid, SelectorKind, StackConfig};
 use ibp_sim::{compare_grid_with, simulate, Json, PredictorKind};
-use ibp_workloads::{paper_suite, BenchmarkRun};
-use std::collections::HashMap;
+use ibp_workloads::paper_suite;
 use std::hint::black_box;
-
-/// The pre-engine per-trace loop: identical protocol to
-/// `ibp_sim::simulate`, but accounting in a SipHash `HashMap` as the seed
-/// runner did. Returns the totals so the work cannot be optimized away.
-fn simulate_legacy(
-    predictor: &mut dyn ibp_predictors::IndirectPredictor,
-    trace: &ibp_trace::Trace,
-) -> (u64, u64) {
-    let mut predictions = 0u64;
-    let mut mispredictions = 0u64;
-    let mut per_branch: HashMap<u64, (u64, u64)> = HashMap::new();
-    for event in trace.iter() {
-        if event.class().is_predicted_indirect() {
-            let predicted = predictor.predict(event.pc());
-            let actual = event.target();
-            predictions += 1;
-            let entry = per_branch.entry(event.pc().raw()).or_insert((0, 0));
-            entry.0 += 1;
-            if predicted != Some(actual) {
-                mispredictions += 1;
-                entry.1 += 1;
-            }
-            predictor.update(event.pc(), actual);
-        }
-        predictor.observe(event);
-    }
-    black_box(per_branch);
-    (predictions, mispredictions)
-}
-
-/// The pre-engine grid: one thread per benchmark run, dyn dispatch.
-fn grid_legacy(kinds: &[PredictorKind], runs: &[BenchmarkRun], scale: f64) -> (u64, u64) {
-    // ibp-lint: allow(L005, "legacy baseline must replicate the pre-engine one-thread-per-run scheduler it is measured against")
-    let totals: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = runs
-            .iter()
-            .map(|run| {
-                scope.spawn(move || {
-                    let trace = run.generate_scaled(scale);
-                    let mut p = 0u64;
-                    let mut m = 0u64;
-                    for &kind in kinds {
-                        let (dp, dm) = simulate_legacy(kind.build().as_mut(), &trace);
-                        p += dp;
-                        m += dm;
-                    }
-                    (p, m)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("simulation threads do not panic"))
-            .collect()
-    });
-    totals.into_iter().fold((0, 0), |(p, m), (dp, dm)| (p + dp, m + dm))
-}
 
 /// A verbatim copy of the simulation loop with no probe parameter — the
 /// exact pre-observability code — monomorphized over a concrete
@@ -328,11 +260,6 @@ fn main() {
     let grid_events = Throughput::Elements(suite_events * kinds.len() as u64);
 
     let mut h = Harness::new("throughput");
-    if bench_enabled("grid_fig6_legacy") {
-        h.bench_throughput("grid_fig6_legacy", grid_events, || {
-            black_box(grid_legacy(&kinds, &runs, scale))
-        });
-    }
     if bench_enabled("grid_fig6_engine") {
         h.bench_throughput("grid_fig6_engine", grid_events, || {
             black_box(compare_grid_with(&exec, &kinds, &runs, scale))
@@ -398,10 +325,6 @@ fn main() {
             .find(|m| m.id == id)
             .map(|m| m.median_ns)
     };
-    if let (Some(legacy), Some(engine)) = (per_id("grid_fig6_legacy"), per_id("grid_fig6_engine"))
-    {
-        println!("grid speedup engine/legacy: {:.2}x", legacy / engine);
-    }
     if let (Some(mono), Some(raw)) = (per_id("simulate_mono"), per_id("simulate_mono_raw")) {
         println!("NullProbe overhead mono/raw: {:.4}x", mono / raw);
     }

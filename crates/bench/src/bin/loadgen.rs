@@ -1,20 +1,17 @@
 //! loadgen — replay a stored trace over a live loopback prediction
-//! server, on either IBPS plane.
+//! server.
 //!
 //! Starts an in-process `ibp-serve` server and drives it with
-//! `--conns` concurrent connections. By default every connection is a
-//! v3 **mux** client carrying `--streams` concurrent predictor streams
-//! in summary mode (no per-event prediction frames); `--legacy`
-//! switches to the v1 lockstep client (one session per connection,
-//! per-event predictions) — the PR 5 transport, kept for comparison.
-//! With `IBP_BENCH_DIR` set, the JSON report lands in
-//! `<dir>/BENCH_serve.json`.
+//! `--conns` concurrent connections. Every connection is a v3 **mux**
+//! client carrying `--streams` concurrent predictor streams in summary
+//! mode (no per-event prediction frames). With `IBP_BENCH_DIR` set, the
+//! JSON report lands in `<dir>/BENCH_serve.json`.
 //!
 //! Usage:
 //!   `cargo run --release -p ibp-bench --bin loadgen --
 //!    [--trace PATH] [--predictor NAME] [--conns N] [--streams N]
 //!    [--shards N] [--entries N] [--passes N] [--events-per-stream N]
-//!    [--window N] [--resident-budget BYTES] [--compact] [--legacy]
+//!    [--window N] [--resident-budget BYTES] [--compact]
 //!    [--smoke] [--check PATH]`
 //!
 //! `--smoke` is the CI gate: it presets a 16-connection × 640-stream
@@ -33,7 +30,7 @@
 //! balanced — eviction must be invisible to the ledger.
 
 use ibp_exec::Executor;
-use ibp_serve::{MuxClient, ServeClient, Server, ServerConfig};
+use ibp_serve::{MuxClient, Server, ServerConfig};
 use ibp_sim::{Json, PredictorKind};
 use ibp_trace::{codec, BranchEvent};
 use ibp_workloads::paper_suite;
@@ -52,7 +49,6 @@ struct Args {
     window: u64,
     resident_budget: u64,
     compact: bool,
-    legacy: bool,
     smoke: bool,
 }
 
@@ -69,7 +65,6 @@ fn parse_args() -> Args {
         window: 8192,
         resident_budget: 0,
         compact: false,
-        legacy: false,
         smoke: false,
     };
     let mut it = std::env::args().skip(1);
@@ -104,7 +99,6 @@ fn parse_args() -> Args {
                     parse_num(&value("--resident-budget"), "--resident-budget") as u64;
             }
             "--compact" => args.compact = true,
-            "--legacy" => args.legacy = true,
             "--check" => {
                 let path = value("--check");
                 if let Err(msg) = check(&path) {
@@ -144,10 +138,9 @@ fn parse_num(s: &str, what: &str) -> usize {
     })
 }
 
-/// One connection's replay: latency samples (ns) plus totals. On the
-/// mux plane the samples are per-stream close round-trips (the first
-/// close drains the pipelined backlog); on the legacy plane they are
-/// per-batch lockstep round-trips.
+/// One connection's replay: latency samples (ns) plus totals. The
+/// samples are per-stream close round-trips (the first close drains the
+/// pipelined backlog).
 struct ConnOutcome {
     samples: Vec<u64>,
     events: u64,
@@ -222,44 +215,6 @@ fn run_mux_conn(
     outcome
 }
 
-/// Drives one v1 lockstep connection — the PR 5 transport.
-fn run_legacy_conn(
-    addr: std::net::SocketAddr,
-    args: &Args,
-    events: &[BranchEvent],
-    opened: &Barrier,
-    sent: &Barrier,
-) -> ConnOutcome {
-    let mut client = ServeClient::connect(addr, args.predictor, args.entries)
-        .unwrap_or_else(|e| die("session handshake failed", e));
-    opened.wait();
-    let chunk = (client.window() / 2).max(1) as usize;
-    let mut outcome = ConnOutcome {
-        samples: Vec::with_capacity(events.len() / chunk + 2),
-        events: 0,
-        predictions: 0,
-        mispredictions: 0,
-        backpressure: 0,
-    };
-    for _ in 0..args.passes {
-        for batch in events.chunks(chunk) {
-            let started = Instant::now();
-            let run = client
-                .predict_all(batch)
-                .unwrap_or_else(|e| die("lockstep stream failed", e));
-            outcome.samples.push(started.elapsed().as_nanos() as u64);
-            outcome.events += run.events_sent();
-            outcome.predictions += run.predictions();
-            outcome.mispredictions += run.mispredictions();
-            outcome.backpressure += run.backpressure_warnings();
-        }
-    }
-    sent.wait();
-    let total = client.close().unwrap_or_else(|e| die("close failed", e));
-    assert_eq!(total, outcome.events, "server and client disagree on totals");
-    outcome
-}
-
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -281,7 +236,7 @@ fn check(path: &str) -> Result<(), String> {
         .get("mode")
         .and_then(Json::as_str)
         .ok_or_else(|| format!("{path}: missing `mode`"))?;
-    if mode != "mux" && mode != "legacy" {
+    if mode != "mux" {
         return Err(format!("{path}: unknown mode {mode:?}"));
     }
     let per_sec = value
@@ -352,16 +307,14 @@ fn main() {
     } else {
         full
     };
-    let streams_per_conn = if args.legacy { 1 } else { args.streams };
-    let total_streams = args.conns * streams_per_conn;
+    let total_streams = args.conns * args.streams;
     println!(
-        "loadgen: {} ({} events/stream), predictor {}, {} plane, {} conns × {} streams × {} passes over {} shards",
+        "loadgen: {} ({} events/stream), predictor {}, {} conns × {} streams × {} passes over {} shards",
         args.trace,
         events.len(),
         args.predictor.label(),
-        if args.legacy { "legacy" } else { "mux" },
         args.conns,
-        streams_per_conn,
+        args.streams,
         args.passes,
         args.shards,
     );
@@ -369,7 +322,7 @@ fn main() {
     let server = Server::start(ServerConfig {
         shards: args.shards,
         max_sessions: args.conns.max(4),
-        max_streams: streams_per_conn as u64,
+        max_streams: args.streams as u64,
         window: args.window,
         resident_budget: args.resident_budget,
         compact: args.compact,
@@ -385,11 +338,7 @@ fn main() {
     let sent = Barrier::new(args.conns);
     let wall = Instant::now();
     let outcomes = Executor::new(args.conns).run(args.conns, |_| {
-        if args.legacy {
-            run_legacy_conn(addr, &args, &events, &opened, &sent)
-        } else {
-            run_mux_conn(addr, &args, &events, &opened, &sent)
-        }
+        run_mux_conn(addr, &args, &events, &opened, &sent)
     });
     let wall_ns = wall.elapsed().as_nanos() as u64;
     let report = server.shutdown();
@@ -411,9 +360,8 @@ fn main() {
     let p90 = percentile(&samples, 90.0);
     let p99 = percentile(&samples, 99.0);
     let max = samples.last().copied().unwrap_or(0);
-    let sample_kind = if args.legacy { "batch RTT" } else { "close RTT" };
     println!(
-        "{sample_kind}: p50 {:.1}µs  p90 {:.1}µs  p99 {:.1}µs  max {:.1}µs  ({} samples)",
+        "close RTT: p50 {:.1}µs  p90 {:.1}µs  p99 {:.1}µs  max {:.1}µs  ({} samples)",
         p50 as f64 / 1e3,
         p90 as f64 / 1e3,
         p99 as f64 / 1e3,
@@ -430,7 +378,6 @@ fn main() {
 
     let protocol_errors = report.metrics.counter("serve_protocol_errors")
         + report.metrics.counter("serve_handshake_rejects")
-        + report.metrics.counter("serve_window_overflows")
         + report.metrics.counter("serve_mux_window_overflows")
         + report.metrics.counter("serve_mux_stream_errors")
         + report.metrics.counter("serve_write_failures")
@@ -459,15 +406,12 @@ fn main() {
 
     let json = Json::obj([
         ("bench", Json::Str("serve".to_string())),
-        (
-            "mode",
-            Json::Str(if args.legacy { "legacy" } else { "mux" }.to_string()),
-        ),
+        ("mode", Json::Str("mux".to_string())),
         ("trace", Json::Str(args.trace.clone())),
         ("predictor", Json::Str(args.predictor.label())),
         ("events_per_stream", Json::UInt(events.len() as u64)),
         ("conns", Json::UInt(args.conns as u64)),
-        ("streams_per_conn", Json::UInt(streams_per_conn as u64)),
+        ("streams_per_conn", Json::UInt(args.streams as u64)),
         ("total_streams", Json::UInt(total_streams as u64)),
         ("shards", Json::UInt(args.shards as u64)),
         ("passes", Json::UInt(args.passes as u64)),
@@ -478,7 +422,7 @@ fn main() {
         (
             "rtt_ns",
             Json::obj([
-                ("kind", Json::Str(sample_kind.to_string())),
+                ("kind", Json::Str("close RTT".to_string())),
                 ("p50", Json::UInt(p50)),
                 ("p90", Json::UInt(p90)),
                 ("p99", Json::UInt(p99)),
@@ -557,26 +501,24 @@ fn main() {
         if report.metrics.counter("serve_clean_byes") != args.conns as u64 {
             failures.push("not every connection closed with BYE".to_string());
         }
-        if !args.legacy {
-            let opened = report.metrics.counter("serve_mux_streams");
-            let closed = report.metrics.counter("serve_mux_clean_closes");
-            if opened != total_streams as u64 || closed != total_streams as u64 {
-                failures.push(format!(
-                    "stream ledger off: {opened} opened / {closed} closed, expected {total_streams}"
-                ));
-            }
-            // The start barriers hold every stream open at once: peak
-            // occupancy must equal the whole fleet.
-            if peak_streams != total_streams as u64 {
-                failures.push(format!(
-                    "peak {peak_streams} concurrent streams, expected {total_streams}"
-                ));
-            }
+        let opened = report.metrics.counter("serve_mux_streams");
+        let closed = report.metrics.counter("serve_mux_clean_closes");
+        if opened != total_streams as u64 || closed != total_streams as u64 {
+            failures.push(format!(
+                "stream ledger off: {opened} opened / {closed} closed, expected {total_streams}"
+            ));
+        }
+        // The start barriers hold every stream open at once: peak
+        // occupancy must equal the whole fleet.
+        if peak_streams != total_streams as u64 {
+            failures.push(format!(
+                "peak {peak_streams} concurrent streams, expected {total_streams}"
+            ));
         }
         if report.metrics.counter("serve_idle_evictions") != 0 {
             failures.push("streams were idle-evicted mid-replay".to_string());
         }
-        if args.resident_budget > 0 && !args.legacy {
+        if args.resident_budget > 0 {
             // Budget eviction is distinct from idle eviction: a spilled
             // stream stays *open* (the ledger and peak-occupancy
             // assertions above still hold exactly) — but the cycle must

@@ -14,23 +14,18 @@
 //!   keyed by cheap word mixing instead of SipHash, for the per-event
 //!   accounting maps (`RunResult::per_branch`) and the unbounded
 //!   predictor-internal tables;
-//! * [`service`] — [`ServicePool`], a fixed set of long-lived named
-//!   workers over a shared job queue, with panic isolation and graceful
-//!   drain, for the open-ended workloads of `ibp-serve` (lint L005
-//!   confines thread spawning to this crate);
 //! * [`shard`] — [`ShardPool`], a fixed set of pinned shard threads (one
 //!   closure each, panic-isolated), for the non-blocking serve reactor
-//!   where each shard owns its connections for their whole lifetime.
+//!   where each shard owns its connections for their whole lifetime
+//!   (lint L005 confines thread spawning to this crate).
 //!
-//! Both are `std`-only: the workspace builds offline with no external
+//! All are `std`-only: the workspace builds offline with no external
 //! crates (see `scripts/verify.sh`).
 
 pub mod map;
 pub mod pool;
-pub mod service;
 pub mod shard;
 
 pub use map::{FastHash, FastMap};
 pub use pool::{thread_count, Executor, PoolStats, WorkerStats};
-pub use service::{ServiceJob, ServicePool, ServiceStats, ServiceSubmitter, SubmitError};
 pub use shard::{ShardPool, ShardStats};

@@ -1,15 +1,12 @@
 //! A fixed set of pinned shard threads for the sharded serve reactor.
 //!
-//! [`ServicePool`](crate::ServicePool) multiplexes anonymous jobs over a
-//! shared queue — the right shape for PR 5's thread-per-connection plane,
-//! where a job *was* a connection. The non-blocking reactor inverts that:
-//! each shard thread owns its connections for their whole lifetime and
-//! runs one long poll loop, so the unit of spawning is the shard itself,
-//! not a job. [`ShardPool`] spawns exactly `shards` named threads, each
-//! running one caller-built closure to completion, and joins them all on
-//! [`ShardPool::join`].
+//! Each shard thread of the non-blocking reactor owns its connections
+//! for their whole lifetime and runs one long poll loop, so the unit of
+//! spawning is the shard itself, not a job. [`ShardPool`] spawns exactly
+//! `shards` named threads, each running one caller-built closure to
+//! completion, and joins them all on [`ShardPool::join`].
 //!
-//! Two properties carry over from [`ServicePool`](crate::ServicePool):
+//! Two properties hold for every shard:
 //!
 //! * **Panic isolation.** A shard body runs under `catch_unwind`; a
 //!   panicking shard is counted in [`ShardStats::panicked`] instead of

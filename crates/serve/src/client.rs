@@ -1,18 +1,19 @@
-//! A blocking loopback client: handshake, lockstep event streaming,
-//! stats and graceful close.
+//! [`MuxClient`], the blocking loopback client: handshake, pipelined
+//! multi-stream event sending, stats, close receipts and graceful
+//! close.
 //!
-//! The client respects the server's credit window by sending at most
-//! half a window per batch and waiting for the closing `ACK` before
-//! sending the next — so it can never trip backpressure, let alone the
-//! fatal overflow limit. It also rebuilds a full
-//! [`ibp_sim::RunResult`] from the `PREDICTION` frames plus its own
-//! event list, which is what lets `tests/differential.rs` compare a
-//! served session bit-for-bit against offline simulation.
+//! Batches are chunked to the server's per-stream credit window, so a
+//! well-behaved client never trips the fatal overflow limit. Each
+//! stream's `MUX_CLOSED` receipt carries its totals and per-branch
+//! tallies, from which [`StreamOutcome::into_run_result`] rebuilds the
+//! full [`ibp_sim::RunResult`] — which is what lets
+//! `tests/differential.rs` compare a served stream bit-for-bit against
+//! offline simulation.
 
+use crate::mux::MIN_ENTRIES;
 use crate::protocol::{
-    frame_type, put_events_frame, put_hello, put_mux_events_broadcast, put_mux_events_frame,
-    put_mux_open, put_mux_stream_frame, put_simple_frame, ErrorCode, FrameBuffer, Hello,
-    ProtocolError,
+    frame_type, put_hello, put_mux_events_broadcast, put_mux_events_frame, put_mux_open,
+    put_mux_stream_frame, put_simple_frame, ErrorCode, FrameBuffer, Hello, ProtocolError,
     ServerFrame,
 };
 use ibp_exec::FastMap;
@@ -88,7 +89,7 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// Session totals reported by the server on `FLUSH`.
+/// Stream totals reported by the server on `MUX_FLUSH`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
     /// Events processed so far.
@@ -97,233 +98,6 @@ pub struct SessionStats {
     pub predictions: u64,
     /// Mispredicted among those.
     pub mispredictions: u64,
-}
-
-/// Everything the client learned from one [`ServeClient::predict_all`]
-/// pass, reconstructed purely from `PREDICTION` frames plus the client's
-/// own copy of the events.
-#[derive(Debug)]
-pub struct SessionRun {
-    kind: PredictorKind,
-    entries: u64,
-    events_sent: u64,
-    acked_through: u64,
-    predictions: u64,
-    mispredictions: u64,
-    backpressure_warnings: u64,
-    per_branch: FastMap<u64, (u64, u64)>,
-}
-
-impl SessionRun {
-    /// Predicted indirect events seen in `PREDICTION` frames.
-    pub fn predictions(&self) -> u64 {
-        self.predictions
-    }
-
-    /// Mispredictions among those.
-    pub fn mispredictions(&self) -> u64 {
-        self.mispredictions
-    }
-
-    /// Events streamed to the server.
-    pub fn events_sent(&self) -> u64 {
-        self.events_sent
-    }
-
-    /// Highest resolve-time feedback received (one past the last
-    /// processed sequence number).
-    pub fn acked_through(&self) -> u64 {
-        self.acked_through
-    }
-
-    /// `BACKPRESSURE` warnings received (zero for a lockstep client).
-    pub fn backpressure_warnings(&self) -> u64 {
-        self.backpressure_warnings
-    }
-
-    /// Rebuilds the same [`RunResult`] an offline
-    /// `ibp_sim::simulate` over these events would produce, labelled
-    /// with the served predictor's display name.
-    pub fn into_run_result(self) -> RunResult {
-        let label = self.kind.build_with_entries(self.entries as usize).name();
-        RunResult::from_parts(
-            label,
-            self.predictions,
-            self.mispredictions,
-            self.per_branch.iter().map(|(pc, counts)| (*pc, *counts)),
-        )
-    }
-}
-
-/// A connected prediction session.
-#[derive(Debug)]
-pub struct ServeClient {
-    stream: TcpStream,
-    buffer: FrameBuffer,
-    encode_state: EventDeltaState,
-    kind: PredictorKind,
-    entries: u64,
-    window: u64,
-    seq: u64,
-}
-
-impl ServeClient {
-    /// Connects, performs the handshake and waits for the server's
-    /// verdict.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Rejected`] carries the server's typed refusal
-    /// (unknown predictor, bad budget, busy, shutting down, …).
-    pub fn connect(
-        addr: SocketAddr,
-        kind: PredictorKind,
-        entries: u64,
-    ) -> Result<ServeClient, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        let mut client = ServeClient {
-            stream,
-            buffer: FrameBuffer::new(),
-            encode_state: EventDeltaState::new(),
-            kind,
-            entries,
-            window: 0,
-            seq: 0,
-        };
-        let mut bytes = Vec::new();
-        put_hello(&mut bytes, &Hello::legacy(kind.wire_code(), entries));
-        client.stream.write_all(&bytes)?;
-        client.stream.flush()?;
-        match client.read_frame()? {
-            ServerFrame::HelloAck { window } => {
-                client.window = window.max(1);
-                Ok(client)
-            }
-            ServerFrame::Error { code, detail } => Err(ClientError::Rejected { code, detail }),
-            _ => Err(ClientError::UnexpectedFrame("expected HELLO_ACK")),
-        }
-    }
-
-    /// The server's advertised send-credit window, in events.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
-    /// Streams every event in lockstep (half a window per batch, waiting
-    /// for each batch's `ACK`), collecting prediction outcomes.
-    pub fn predict_all(&mut self, events: &[BranchEvent]) -> Result<SessionRun, ClientError> {
-        let mut run = SessionRun {
-            kind: self.kind,
-            entries: self.entries,
-            events_sent: 0,
-            acked_through: 0,
-            predictions: 0,
-            mispredictions: 0,
-            backpressure_warnings: 0,
-            per_branch: FastMap::new(),
-        };
-        let base = self.seq;
-        let chunk = (self.window / 2).max(1) as usize;
-        for batch in events.chunks(chunk) {
-            let mut bytes = Vec::new();
-            put_events_frame(&mut self.encode_state, batch, &mut bytes);
-            self.stream.write_all(&bytes)?;
-            self.stream.flush()?;
-            self.seq += batch.len() as u64;
-            run.events_sent += batch.len() as u64;
-            // Drain responses until this batch's resolve-time feedback.
-            loop {
-                match self.read_frame()? {
-                    ServerFrame::Prediction {
-                        seq,
-                        correct,
-                        predicted: _,
-                    } => {
-                        let Some(event) = seq
-                            .checked_sub(base)
-                            .and_then(|i| events.get(i as usize))
-                        else {
-                            return Err(ClientError::UnexpectedFrame(
-                                "prediction for a sequence number never sent",
-                            ));
-                        };
-                        run.predictions += 1;
-                        if !correct {
-                            run.mispredictions += 1;
-                        }
-                        let counts = run.per_branch.or_default(event.pc().raw());
-                        counts.0 += 1;
-                        if !correct {
-                            counts.1 += 1;
-                        }
-                    }
-                    ServerFrame::Backpressure { .. } => run.backpressure_warnings += 1,
-                    ServerFrame::Ack { through_seq } => {
-                        run.acked_through = through_seq;
-                        break;
-                    }
-                    ServerFrame::Error { code, detail } => {
-                        return Err(ClientError::Rejected { code, detail })
-                    }
-                    _ => {
-                        return Err(ClientError::UnexpectedFrame(
-                            "expected PREDICTION/ACK during streaming",
-                        ))
-                    }
-                }
-            }
-        }
-        Ok(run)
-    }
-
-    /// Requests the server-side session totals.
-    pub fn stats(&mut self) -> Result<SessionStats, ClientError> {
-        let mut bytes = Vec::new();
-        put_simple_frame(frame_type::FLUSH, &mut bytes);
-        self.stream.write_all(&bytes)?;
-        self.stream.flush()?;
-        match self.read_frame()? {
-            ServerFrame::Stats {
-                events,
-                predictions,
-                mispredictions,
-            } => Ok(SessionStats {
-                events,
-                predictions,
-                mispredictions,
-            }),
-            ServerFrame::Error { code, detail } => Err(ClientError::Rejected { code, detail }),
-            _ => Err(ClientError::UnexpectedFrame("expected STATS")),
-        }
-    }
-
-    /// Graceful goodbye; returns the server's total processed events.
-    pub fn close(mut self) -> Result<u64, ClientError> {
-        let mut bytes = Vec::new();
-        put_simple_frame(frame_type::BYE, &mut bytes);
-        self.stream.write_all(&bytes)?;
-        self.stream.flush()?;
-        match self.read_frame()? {
-            ServerFrame::ByeAck { events } => Ok(events),
-            ServerFrame::Error { code, detail } => Err(ClientError::Rejected { code, detail }),
-            _ => Err(ClientError::UnexpectedFrame("expected BYE_ACK")),
-        }
-    }
-
-    fn read_frame(&mut self) -> Result<ServerFrame, ClientError> {
-        let mut scratch = [0u8; 4096];
-        loop {
-            if let Some(raw) = self.buffer.next_frame()? {
-                return Ok(ServerFrame::decode(&raw)?);
-            }
-            let n = self.stream.read(&mut scratch)?;
-            if n == 0 {
-                return Err(ClientError::ConnectionClosed);
-            }
-            self.buffer.feed(scratch.get(..n).unwrap_or(&[]));
-        }
-    }
 }
 
 /// What one closed mux stream produced, reconstructed from the server's
@@ -413,12 +187,11 @@ struct StreamState {
 /// A connected v3 (multiplexed) session: many independent predictor
 /// streams pipelined over one socket.
 ///
-/// Unlike [`ServeClient`]'s lockstep, the mux client *pipelines*:
-/// `open` and `send` only write (draining any responses the socket
-/// already has, without blocking), and only [`MuxClient::finish`] /
-/// [`MuxClient::bye`] wait. Batches are chunked to the server's
-/// per-stream credit window, so a well-behaved client never trips the
-/// fatal overflow.
+/// The client *pipelines*: `open` and `send` only write (draining any
+/// responses the socket already has, without blocking), and only
+/// [`MuxClient::stats`], [`MuxClient::finish`] and [`MuxClient::bye`]
+/// wait. Batches are chunked to the server's per-stream credit window,
+/// so a well-behaved client never trips the fatal overflow.
 #[derive(Debug)]
 pub struct MuxClient {
     stream: TcpStream,
@@ -430,11 +203,16 @@ pub struct MuxClient {
 }
 
 impl MuxClient {
-    /// Connects and negotiates protocol version 3.
+    /// Connects and performs the version-3 handshake.
     ///
-    /// The handshake's predictor/budget fields are vetted by the server
-    /// exactly like a legacy hello (uniform rejection surface) but bind
-    /// no session — streams declare their own in `MUX_OPEN`.
+    /// The handshake carries a valid default predictor and the minimum
+    /// budget; the server vets both but binds no session — streams
+    /// declare their own in `MUX_OPEN`.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Rejected`] carries the server's typed refusal
+    /// (busy, shutting down, …).
     pub fn connect(addr: SocketAddr) -> Result<MuxClient, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
@@ -449,25 +227,20 @@ impl MuxClient {
         let mut bytes = Vec::new();
         put_hello(
             &mut bytes,
-            &Hello::mux(PredictorKind::Btb.wire_code(), crate::session::MIN_ENTRIES),
+            &Hello::mux(PredictorKind::Btb.wire_code(), MIN_ENTRIES),
         );
         client.stream.write_all(&bytes)?;
         client.stream.flush()?;
-        loop {
-            match client.read_frame()? {
-                ServerFrame::MuxHelloAck {
-                    window,
-                    max_streams,
-                } => {
-                    client.window = window.max(1);
-                    client.max_streams = max_streams;
-                    return Ok(client);
-                }
-                ServerFrame::Error { code, detail } => {
-                    return Err(ClientError::Rejected { code, detail })
-                }
-                _ => return Err(ClientError::UnexpectedFrame("expected MUX_HELLO_ACK")),
+        match client.read_frame()? {
+            ServerFrame::MuxHelloAck {
+                window,
+                max_streams,
+            } => {
+                client.window = window.max(1);
+                client.max_streams = max_streams;
+                Ok(client)
             }
+            _ => Err(ClientError::UnexpectedFrame("expected MUX_HELLO_ACK")),
         }
     }
 

@@ -1,27 +1,24 @@
 //! `ibp-serve` — the online prediction service.
 //!
 //! Turns the offline predictor zoo into a long-lived network service: a
-//! client opens a TCP connection, picks any [`ibp_sim::PredictorKind`]
-//! and a table budget at handshake, then streams branch events and gets
-//! a prediction back for every multi-target indirect branch, plus
-//! resolve-time feedback acks that double as send credit. The per-event
-//! protocol is exactly the offline simulator's, so a served session and
-//! `ibp_sim::simulate` over the same events produce identical results —
-//! pinned by the end-to-end differential suite.
+//! client opens a TCP connection, opens streams that each pick any
+//! [`ibp_sim::PredictorKind`] and a table budget, then streams branch
+//! events and gets resolve-time feedback acks that double as send
+//! credit, plus (on request) a prediction for every multi-target
+//! indirect branch. The per-event protocol is exactly the offline
+//! simulator's, so a served stream and `ibp_sim::simulate` over the same
+//! events produce identical results — pinned by the end-to-end
+//! differential suite.
 //!
-//! Since IBPS v3 the protocol is version-negotiated: v1/v2 clients get
-//! the legacy one-session-per-connection plane, v3 clients get stream
-//! multiplexing — many independent predictor sessions interleaved over
-//! one connection, each with its own credit window, served by
+//! One connection multiplexes many independent predictor sessions
+//! (IBPS v3 *streams*), each with its own credit window, served by
 //! thread-per-core reactor shards.
 //!
-//! * [`protocol`] — the pure IBPS frame codec (handshake, legacy and
-//!   mux frames, typed errors; no sockets, fully property-testable).
-//! * [`session`] — one legacy connection's predictor state machine with
-//!   credit windows and backpressure, running on the shared
-//!   [`ibp_sim::SessionStepper`] engine.
-//! * [`mux`] — the v3 stream registry: per-stream decode states, credit
-//!   accounting and the batched lockstep scheduler.
+//! * [`protocol`] — the pure IBPS frame codec (handshake, frames, typed
+//!   errors; no sockets, fully property-testable).
+//! * [`mux`] — the stream registry: per-stream decode states, credit
+//!   accounting and the batched lockstep scheduler, running every
+//!   stream on the shared [`ibp_sim::SessionStepper`] engine.
 //! * [`reactor`] — the non-blocking shard loop (sharded accept,
 //!   readiness polling, buffered writes, clockless idle ticks).
 //! * [`spill`] — the multi-tenant memory plane: shared copy-on-write
@@ -30,9 +27,8 @@
 //! * [`server`] — the TCP server: [`ibp_exec::ShardPool`] lifecycle,
 //!   graceful drain, [`ibp_metrics`] telemetry with per-shard
 //!   attribution.
-//! * [`client`] — blocking loopback clients: the v1 lockstep client and
-//!   the v3 pipelined mux client, both rebuilding offline
-//!   [`ibp_sim::RunResult`]s.
+//! * [`client`] — [`MuxClient`], the blocking pipelined loopback client
+//!   that rebuilds offline [`ibp_sim::RunResult`]s from close receipts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,17 +38,13 @@ pub mod mux;
 pub mod protocol;
 mod reactor;
 pub mod server;
-pub mod session;
 pub mod spill;
 
-pub use client::{
-    ClientError, MuxClient, ServeClient, SessionRun, SessionStats, StreamOutcome,
-};
-pub use mux::{ConnFatal, MuxConn, MuxProgress, MuxTallies};
+pub use client::{ClientError, MuxClient, SessionStats, StreamOutcome};
+pub use mux::{ConnFatal, MuxConn, MuxProgress, MuxTallies, MAX_ENTRIES, MIN_ENTRIES};
 pub use protocol::{
-    ClientFrame, ErrorCode, FrameBuffer, Hello, MuxClientFrame, ProtocolError, RawFrame,
-    ServerFrame, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION, PROTOCOL_VERSION_MUX,
+    ErrorCode, FrameBuffer, Hello, MuxClientFrame, ProtocolError, RawFrame, ServerFrame,
+    MAX_FRAME_PAYLOAD, PROTOCOL_VERSION_MUX,
 };
 pub use server::{ServeError, Server, ServerConfig, ServerReport};
-pub use session::{Session, SessionFatal, MAX_ENTRIES, MIN_ENTRIES};
 pub use spill::{DiskSpillStore, MemorySpillStore, SpillStore, TierCache};

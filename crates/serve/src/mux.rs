@@ -3,8 +3,7 @@
 //!
 //! [`MuxConn`] is a pure state machine — raw frames in, server frames
 //! out, no sockets — so the mux layer is unit- and property-testable
-//! offline, exactly like the PR 5 session. The reactor owns the I/O and
-//! calls into it:
+//! offline. The reactor owns the I/O and calls into it:
 //!
 //! * [`MuxConn::on_frame`] for every complete frame read off the wire.
 //!   Event batches are *not* simulated here: they are credit-checked and
@@ -29,15 +28,13 @@
 //! unknown id, duplicate open, budget/predictor rejection, credit
 //! overflow, idle eviction — is stream-scoped ([`ServerFrame::MuxError`];
 //! the connection survives). Anything below the stream layer — malformed
-//! bytes, unknown frame types (including the v1/v2 single-session
-//! frames, which have no meaning here) — is connection-fatal and
-//! surfaces as [`ConnFatal`].
+//! bytes, unknown frame types (including the retired v1/v2 codes) — is
+//! connection-fatal and surfaces as [`ConnFatal`].
 
 use crate::protocol::{
     decode_mux_events_into, mux_events_header, frame_type, ErrorCode, MuxClientFrame,
     ProtocolError, RawFrame, ServerFrame,
 };
-use crate::session::{MAX_ENTRIES, MIN_ENTRIES};
 use crate::spill::{SpillStore, TierCache};
 use ibp_exec::FastMap;
 use ibp_sim::{snapshot_session, PredictionOutcome, PredictorKind, RunResult, SessionStepper};
@@ -45,12 +42,21 @@ use ibp_trace::wire::EventDeltaState;
 use ibp_trace::BranchEvent;
 use std::sync::Arc;
 
+/// Smallest accepted table-entry budget (matches the zoo's floor, below
+/// which configurations degenerate).
+pub const MIN_ENTRIES: u64 = 64;
+
+/// Largest accepted table-entry budget (a megaentry — far past the
+/// paper's sweep — so a hostile handshake or `MUX_OPEN` cannot demand
+/// absurd allocations).
+pub const MAX_ENTRIES: u64 = 1 << 20;
+
 /// A connection-fatal condition: the reactor answers with a
 /// connection-level `ERROR` frame and closes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnFatal {
-    /// The peer's bytes do not parse as v3 frames (includes legacy
-    /// single-session frame types, which are not spoken on this plane).
+    /// The peer's bytes do not parse as v3 frames (includes the retired
+    /// v1/v2 frame types).
     Protocol(ProtocolError),
 }
 
@@ -1065,19 +1071,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_frames_are_connection_fatal() {
-        let mut conn = MuxConn::new(256, 64);
-        let raw = RawFrame {
-            frame_type: frame_type::EVENT_BATCH,
-            payload: vec![0],
-        };
-        let mut out = Vec::new();
-        let err = conn.on_frame(&raw, &mut out).unwrap_err();
-        assert_eq!(
-            err,
-            ConnFatal::Protocol(ProtocolError::UnknownFrame(frame_type::EVENT_BATCH))
-        );
-        assert_eq!(err.error_code(), ErrorCode::BadFrame);
+    fn retired_v1_frame_types_are_connection_fatal() {
+        // 0x01 (EVENT_BATCH) and 0x02 (FLUSH) belonged to the retired
+        // v1/v2 plane; on v3 they are unknown frame types.
+        for retired in [0x01u8, 0x02] {
+            let mut conn = MuxConn::new(256, 64);
+            let raw = RawFrame {
+                frame_type: retired,
+                payload: vec![0],
+            };
+            let mut out = Vec::new();
+            let err = conn.on_frame(&raw, &mut out).unwrap_err();
+            assert_eq!(
+                err,
+                ConnFatal::Protocol(ProtocolError::UnknownFrame(retired))
+            );
+            assert_eq!(err.error_code(), ErrorCode::BadFrame);
+            assert!(out.is_empty());
+        }
     }
 
     #[test]

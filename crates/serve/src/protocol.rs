@@ -21,48 +21,34 @@
 //! type:u8  payload_len:uvarint  payload:[u8; payload_len]
 //! ```
 //!
-//! Client frames: `EVENT_BATCH` (count + delta-coded events), `FLUSH`
-//! (request a stats report) and `BYE` (graceful close). Server frames:
-//! `HELLO_ACK` (accept + advertised window), `PREDICTION` (one per
-//! predicted indirect event: sequence number, correctness, predicted
-//! target), `ACK` (resolve-time feedback: all events up to a sequence
-//! number are processed — the client's send credit), `BACKPRESSURE`
-//! (batch exceeded the advertised window), `STATS`, `BYE_ACK` and
-//! `ERROR` (typed code + human-readable detail; always followed by
-//! close).
+//! The only accepted `version` is [`PROTOCOL_VERSION_MUX`] (3); any
+//! other byte is a typed `BadVersion` rejection. One connection carries
+//! many independent prediction streams, each identified by a
+//! client-chosen `stream_id` (uvarint). The handshake's predictor and
+//! entries fields are validated but bind no session — streams declare
+//! their own predictor and budget in `MUX_OPEN`. The server answers with
+//! `MUX_HELLO_ACK` advertising the per-stream credit window and the
+//! stream-count cap.
 //!
-//! # Version negotiation and stream multiplexing (IBPS v3)
-//!
-//! The handshake's `version` byte selects the plane:
-//!
-//! * **1 / 2** — the single-session plane above. Version 2 is accepted
-//!   as an alias of 1 (it was introduced alongside negotiation so a
-//!   client probing for mux support gets a well-defined downgrade, not a
-//!   rejection); the frames are identical.
-//! * **3** — the multiplexed plane: one connection carries many
-//!   independent prediction streams, each identified by a client-chosen
-//!   `stream_id` (uvarint). The handshake's predictor/entries fields are
-//!   validated exactly as in v1/v2 (uniform rejection surface) but bind
-//!   no session — streams declare their own predictor and budget in
-//!   `MUX_OPEN`. The server answers with `MUX_HELLO_ACK` advertising the
-//!   per-stream credit window and the stream-count cap.
-//!
-//! Mux client frames: `MUX_OPEN` (stream id + predictor + entries +
-//! flags, bit 0 requesting per-event `MUX_PREDICTION` verbosity),
+//! Client frames: `MUX_OPEN` (stream id + predictor + entries + flags,
+//! bit 0 requesting per-event `MUX_PREDICTION` verbosity),
 //! `MUX_EVENT_BATCH` (stream id + count + delta-coded events — each
 //! stream has its *own* delta state, so interleaving streams never
 //! perturbs decoding), `MUX_FLUSH`, `MUX_CLOSE` and the connection-level
-//! `BYE`. Mux server frames mirror the legacy set per stream
-//! (`MUX_OPEN_ACK`, `MUX_PREDICTION`, `MUX_ACK`, `MUX_BACKPRESSURE`,
-//! `MUX_STATS`), plus `MUX_CLOSED` — the close receipt carrying the
-//! stream's totals *and* its per-branch accounting (ascending-PC
-//! delta-coded sites), which is what lets a summary-mode client rebuild
-//! the full offline `RunResult` without per-event traffic — and
-//! `MUX_ERROR`, a *stream-scoped* failure: the stream dies, the
-//! connection and its sibling streams live on. Credit windows are
-//! tracked per stream, never per connection, so one hog stream cannot
-//! starve its siblings. The connection-level `ERROR` (followed by close)
-//! remains for handshake and framing failures.
+//! `BYE`. Server frames, per stream: `MUX_OPEN_ACK`, `MUX_PREDICTION`
+//! (sequence number, correctness, predicted target), `MUX_ACK`
+//! (resolve-time feedback: the stream's events up to a sequence number
+//! are processed — its send credit), `MUX_BACKPRESSURE`, `MUX_STATS`,
+//! and `MUX_CLOSED` — the close receipt carrying the stream's totals
+//! *and* its per-branch accounting (ascending-PC delta-coded sites),
+//! which is what lets a summary-mode client rebuild the full offline
+//! `RunResult` without per-event traffic — and `MUX_ERROR`, a
+//! *stream-scoped* failure: the stream dies, the connection and its
+//! sibling streams live on. Credit windows are tracked per stream, never
+//! per connection, so one hog stream cannot starve its siblings.
+//! Connection-level server frames: `BYE_ACK` and `ERROR` (typed code +
+//! human-readable detail; always followed by close), the latter for
+//! handshake and framing failures.
 //!
 //! Decoding is defensive end to end: truncated, oversized, mutated or
 //! trailing-garbage input yields a typed [`ProtocolError`], never a
@@ -75,28 +61,10 @@ use std::fmt;
 /// The four magic bytes opening every connection.
 pub const MAGIC: [u8; 4] = *b"IBPS";
 
-/// The original single-session protocol version.
-pub const PROTOCOL_VERSION: u8 = 1;
-
-/// The negotiation-capable alias of version 1 (same frames; see the
-/// module docs).
-pub const PROTOCOL_VERSION_V2: u8 = 2;
-
-/// The stream-multiplexed protocol version.
+/// The protocol version: the stream-multiplexed plane. Versions 1 and 2
+/// (a retired one-session-per-connection plane) are rejected like any
+/// other unknown version.
 pub const PROTOCOL_VERSION_MUX: u8 = 3;
-
-/// True when `version` selects the multiplexed plane.
-pub fn version_is_mux(version: u8) -> bool {
-    version == PROTOCOL_VERSION_MUX
-}
-
-/// True when the server speaks handshake `version` at all.
-pub fn version_is_supported(version: u8) -> bool {
-    matches!(
-        version,
-        PROTOCOL_VERSION | PROTOCOL_VERSION_V2 | PROTOCOL_VERSION_MUX
-    )
-}
 
 /// Hard cap on a frame payload. Anything claiming more is rejected
 /// before allocation (`ProtocolError::Oversized`).
@@ -104,13 +72,12 @@ pub const MAX_FRAME_PAYLOAD: u64 = 1 << 20;
 
 /// Frame type codes. Client→server types have the high bit clear,
 /// server→client types set it (`ERROR` deliberately sits at the top).
+///
+/// Codes `0x01`, `0x02` and `0x81`–`0x85` belonged to the retired v1/v2
+/// plane; they are unknown frame types now and are never reused.
 pub mod frame_type {
-    /// Client→server: a batch of delta-coded events.
-    pub const EVENT_BATCH: u8 = 0x01;
-    /// Client→server: request a `STATS` report.
-    pub const FLUSH: u8 = 0x02;
-    /// Client→server: graceful close; server answers `BYE_ACK`.
-    /// Connection-level in every protocol version.
+    /// Client→server: graceful close of the whole connection; server
+    /// answers `BYE_ACK`.
     pub const BYE: u8 = 0x03;
     /// Client→server (v3): open a stream (id + predictor + entries +
     /// flags).
@@ -121,16 +88,6 @@ pub mod frame_type {
     pub const MUX_FLUSH: u8 = 0x12;
     /// Client→server (v3): close one stream; server answers `MUX_CLOSED`.
     pub const MUX_CLOSE: u8 = 0x13;
-    /// Server→client: handshake accepted.
-    pub const HELLO_ACK: u8 = 0x81;
-    /// Server→client: one prediction outcome.
-    pub const PREDICTION: u8 = 0x82;
-    /// Server→client: events up to a sequence number are resolved.
-    pub const ACK: u8 = 0x83;
-    /// Server→client: the last batch exceeded the advertised window.
-    pub const BACKPRESSURE: u8 = 0x84;
-    /// Server→client: session totals.
-    pub const STATS: u8 = 0x85;
     /// Server→client: goodbye acknowledged; connection closes.
     pub const BYE_ACK: u8 = 0x86;
     /// Server→client (v3): mux handshake accepted (per-stream window +
@@ -156,7 +113,10 @@ pub mod frame_type {
     pub const ERROR: u8 = 0xFF;
 }
 
-/// Typed error codes carried in `ERROR` frames.
+/// Typed error codes carried in `ERROR` and `MUX_ERROR` frames.
+///
+/// Wire byte 13 (`mux-not-negotiated`, mux frames on a v1/v2
+/// connection) is retired with that plane and never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// Handshake did not start with `IBPS`.
@@ -183,8 +143,6 @@ pub enum ErrorCode {
     UnknownStream,
     /// `MUX_OPEN` beyond the advertised per-connection stream cap.
     StreamLimit,
-    /// A mux frame on a connection that negotiated version 1 or 2.
-    MuxNotNegotiated,
     /// `MUX_OPEN` for a stream id that is already open.
     DuplicateStream,
     /// Entries budget above the documented per-session maximum
@@ -198,7 +156,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// All codes, in wire order.
-    pub const ALL: [ErrorCode; 15] = [
+    pub const ALL: [ErrorCode; 14] = [
         ErrorCode::BadMagic,
         ErrorCode::BadVersion,
         ErrorCode::UnknownPredictor,
@@ -211,7 +169,6 @@ impl ErrorCode {
         ErrorCode::ShuttingDown,
         ErrorCode::UnknownStream,
         ErrorCode::StreamLimit,
-        ErrorCode::MuxNotNegotiated,
         ErrorCode::DuplicateStream,
         ErrorCode::EntriesTooLarge,
     ];
@@ -231,7 +188,6 @@ impl ErrorCode {
             ErrorCode::ShuttingDown => 10,
             ErrorCode::UnknownStream => 11,
             ErrorCode::StreamLimit => 12,
-            ErrorCode::MuxNotNegotiated => 13,
             ErrorCode::DuplicateStream => 14,
             ErrorCode::EntriesTooLarge => 15,
         }
@@ -258,7 +214,6 @@ impl fmt::Display for ErrorCode {
             ErrorCode::ShuttingDown => "shutting-down",
             ErrorCode::UnknownStream => "unknown-stream",
             ErrorCode::StreamLimit => "stream-limit",
-            ErrorCode::MuxNotNegotiated => "mux-not-negotiated",
             ErrorCode::DuplicateStream => "duplicate-stream",
             ErrorCode::EntriesTooLarge => "entries-too-large",
         };
@@ -323,27 +278,17 @@ impl From<WireError> for ProtocolError {
 /// The client's opening request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
-    /// Negotiated protocol version (1, 2 or 3; see the module docs).
+    /// Protocol version; always [`PROTOCOL_VERSION_MUX`] once parsed.
     pub version: u8,
-    /// Predictor wire code (`ibp_sim::PredictorKind::wire_code`). Binds
-    /// the connection's single session in v1/v2; validated but unbound
-    /// in v3 (streams declare their own in `MUX_OPEN`).
+    /// Predictor wire code (`ibp_sim::PredictorKind::wire_code`).
+    /// Validated but unbound: streams declare their own in `MUX_OPEN`.
     pub predictor_code: u8,
-    /// Requested table-entry budget. Same v1/v2-vs-v3 role split as
+    /// Requested table-entry budget; validated but unbound, like
     /// `predictor_code`.
     pub entries: u64,
 }
 
 impl Hello {
-    /// A v1 (single-session) handshake.
-    pub fn legacy(predictor_code: u8, entries: u64) -> Hello {
-        Hello {
-            version: PROTOCOL_VERSION,
-            predictor_code,
-            entries,
-        }
-    }
-
     /// A v3 (multiplexed) handshake.
     pub fn mux(predictor_code: u8, entries: u64) -> Hello {
         Hello {
@@ -351,11 +296,6 @@ impl Hello {
             predictor_code,
             entries,
         }
-    }
-
-    /// True when this handshake selects the multiplexed plane.
-    pub fn is_mux(&self) -> bool {
-        version_is_mux(self.version)
     }
 }
 
@@ -453,7 +393,7 @@ impl FrameBuffer {
             Err(WireError::Truncated) => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        if !version_is_supported(version) {
+        if version != PROTOCOL_VERSION_MUX {
             return Err(ProtocolError::BadVersion(version));
         }
         let predictor_code = match r.u8() {
@@ -513,60 +453,7 @@ fn put_frame(out: &mut Vec<u8>, frame_type: u8, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// A parsed client→server frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClientFrame {
-    /// Delta-coded branch events to predict/observe, in trace order.
-    Events(Vec<BranchEvent>),
-    /// Request a [`ServerFrame::Stats`] report.
-    Flush,
-    /// Graceful close.
-    Bye,
-}
-
-impl ClientFrame {
-    /// Decodes a raw frame, advancing the session's receive-side delta
-    /// state for event batches.
-    pub fn decode(
-        raw: &RawFrame,
-        state: &mut EventDeltaState,
-    ) -> Result<ClientFrame, ProtocolError> {
-        let mut r = WireReader::new(&raw.payload);
-        let frame = match raw.frame_type {
-            frame_type::EVENT_BATCH => {
-                let count = r.uvarint()?;
-                let mut events = Vec::new();
-                for _ in 0..count {
-                    events.push(wire::get_event(state, &mut r)?);
-                }
-                ClientFrame::Events(events)
-            }
-            frame_type::FLUSH => ClientFrame::Flush,
-            frame_type::BYE => ClientFrame::Bye,
-            other => return Err(ProtocolError::UnknownFrame(other)),
-        };
-        if !r.is_empty() {
-            return Err(ProtocolError::BadPayload("trailing bytes after payload"));
-        }
-        Ok(frame)
-    }
-}
-
-/// Appends an `EVENT_BATCH` frame, advancing the sender's delta state.
-pub fn put_events_frame(
-    state: &mut EventDeltaState,
-    events: &[BranchEvent],
-    out: &mut Vec<u8>,
-) {
-    let mut payload = Vec::with_capacity(8 + events.len() * 8);
-    put_uvarint(&mut payload, events.len() as u64);
-    for event in events {
-        wire::put_event(state, event, &mut payload);
-    }
-    put_frame(out, frame_type::EVENT_BATCH, &payload);
-}
-
-/// Appends a payload-less client frame (`FLUSH` or `BYE`).
+/// Appends a payload-less client frame (`BYE`).
 pub fn put_simple_frame(frame_type: u8, out: &mut Vec<u8>) {
     put_frame(out, frame_type, &[]);
 }
@@ -576,7 +463,7 @@ pub fn put_simple_frame(frame_type: u8, out: &mut Vec<u8>) {
 /// only, with the per-branch report arriving in `MUX_CLOSED`.
 pub const MUX_OPEN_VERBOSE: u8 = 0x01;
 
-/// A parsed client→server frame on the multiplexed (v3) plane.
+/// A parsed client→server frame.
 ///
 /// `MUX_EVENT_BATCH` is deliberately *not* materialized here: its events
 /// must be decoded against the named stream's own delta state, which the
@@ -606,13 +493,13 @@ pub enum MuxClientFrame {
         /// The stream being closed.
         stream: u64,
     },
-    /// Graceful close of the whole connection (shared with v1/v2).
+    /// Graceful close of the whole connection.
     Bye,
 }
 
 impl MuxClientFrame {
-    /// Decodes a raw v3 frame *other than* `MUX_EVENT_BATCH` (see the
-    /// type docs). Legacy v1/v2-only frame types come back as
+    /// Decodes a raw frame *other than* `MUX_EVENT_BATCH` (see the type
+    /// docs). Unassigned frame types come back as
     /// [`ProtocolError::UnknownFrame`].
     pub fn decode(raw: &RawFrame) -> Result<MuxClientFrame, ProtocolError> {
         let mut r = WireReader::new(&raw.payload);
@@ -786,47 +673,10 @@ pub fn put_mux_stream_frame(frame_type: u8, stream: u64, out: &mut Vec<u8>) {
 /// A parsed server→client frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerFrame {
-    /// Handshake accepted; `window` is the max events the client may
-    /// have outstanding (unacked) at once.
-    HelloAck {
-        /// Advertised send-credit window, in events.
-        window: u64,
-    },
-    /// Outcome of one predicted indirect event.
-    Prediction {
-        /// Zero-based event sequence number within the session.
-        seq: u64,
-        /// Whether the prediction matched the resolved target.
-        correct: bool,
-        /// The predicted target, if the predictor produced one.
-        predicted: Option<u64>,
-    },
-    /// Resolve-time feedback: every event with sequence number below
-    /// `through_seq` has been processed; the client's credit resets.
-    Ack {
-        /// One past the highest processed sequence number.
-        through_seq: u64,
-    },
-    /// The previous batch exceeded the advertised window (warning; twice
-    /// the window is a fatal [`ErrorCode::WindowOverflow`]).
-    Backpressure {
-        /// Events in the offending batch.
-        batch: u64,
-        /// The advertised window.
-        window: u64,
-    },
-    /// Session totals, answering a `FLUSH`.
-    Stats {
-        /// Events processed so far.
-        events: u64,
-        /// Predicted indirect events.
-        predictions: u64,
-        /// Mispredicted among those.
-        mispredictions: u64,
-    },
-    /// Goodbye acknowledged; `events` is the session total.
+    /// Goodbye acknowledged; `events` is the connection total.
     ByeAck {
-        /// Events processed over the whole session.
+        /// Events stepped over the connection's whole lifetime, across
+        /// every stream it opened.
         events: u64,
     },
     /// Typed failure; the server closes after sending this.
@@ -925,48 +775,6 @@ impl ServerFrame {
     pub fn put(&self, out: &mut Vec<u8>) {
         let mut payload = Vec::new();
         let ftype = match self {
-            ServerFrame::HelloAck { window } => {
-                put_uvarint(&mut payload, *window);
-                frame_type::HELLO_ACK
-            }
-            ServerFrame::Prediction {
-                seq,
-                correct,
-                predicted,
-            } => {
-                put_uvarint(&mut payload, *seq);
-                let mut flags = 0u8;
-                if *correct {
-                    flags |= 0x01;
-                }
-                if predicted.is_some() {
-                    flags |= 0x02;
-                }
-                payload.push(flags);
-                if let Some(target) = predicted {
-                    put_uvarint(&mut payload, *target);
-                }
-                frame_type::PREDICTION
-            }
-            ServerFrame::Ack { through_seq } => {
-                put_uvarint(&mut payload, *through_seq);
-                frame_type::ACK
-            }
-            ServerFrame::Backpressure { batch, window } => {
-                put_uvarint(&mut payload, *batch);
-                put_uvarint(&mut payload, *window);
-                frame_type::BACKPRESSURE
-            }
-            ServerFrame::Stats {
-                events,
-                predictions,
-                mispredictions,
-            } => {
-                put_uvarint(&mut payload, *events);
-                put_uvarint(&mut payload, *predictions);
-                put_uvarint(&mut payload, *mispredictions);
-                frame_type::STATS
-            }
             ServerFrame::ByeAck { events } => {
                 put_uvarint(&mut payload, *events);
                 frame_type::BYE_ACK
@@ -1087,44 +895,6 @@ impl ServerFrame {
     pub fn decode(raw: &RawFrame) -> Result<ServerFrame, ProtocolError> {
         let mut r = WireReader::new(&raw.payload);
         let frame = match raw.frame_type {
-            frame_type::HELLO_ACK => ServerFrame::HelloAck {
-                window: r.uvarint()?,
-            },
-            frame_type::PREDICTION => {
-                let seq = r.uvarint()?;
-                let flags = r.u8()?;
-                if flags & !0x03 != 0 {
-                    return Err(ProtocolError::BadPayload("reserved prediction flags"));
-                }
-                let correct = flags & 0x01 != 0;
-                let predicted = if flags & 0x02 != 0 {
-                    Some(r.uvarint()?)
-                } else {
-                    None
-                };
-                if correct && predicted.is_none() {
-                    return Err(ProtocolError::BadPayload(
-                        "correct prediction without a target",
-                    ));
-                }
-                ServerFrame::Prediction {
-                    seq,
-                    correct,
-                    predicted,
-                }
-            }
-            frame_type::ACK => ServerFrame::Ack {
-                through_seq: r.uvarint()?,
-            },
-            frame_type::BACKPRESSURE => ServerFrame::Backpressure {
-                batch: r.uvarint()?,
-                window: r.uvarint()?,
-            },
-            frame_type::STATS => ServerFrame::Stats {
-                events: r.uvarint()?,
-                predictions: r.uvarint()?,
-                mispredictions: r.uvarint()?,
-            },
             frame_type::BYE_ACK => ServerFrame::ByeAck {
                 events: r.uvarint()?,
             },
@@ -1288,11 +1058,7 @@ mod tests {
 
     #[test]
     fn hello_round_trips_and_rejects_bad_openings() {
-        let hello = Hello {
-            version: PROTOCOL_VERSION,
-            predictor_code: 7,
-            entries: 2048,
-        };
+        let hello = Hello::mux(7, 2048);
         let mut bytes = Vec::new();
         put_hello(&mut bytes, &hello);
         let mut fb = FrameBuffer::new();
@@ -1322,53 +1088,8 @@ mod tests {
     }
 
     #[test]
-    fn event_batch_round_trips_through_client_decode() {
-        let events = sample_events();
-        let mut enc = EventDeltaState::new();
-        let mut bytes = Vec::new();
-        put_events_frame(&mut enc, &events, &mut bytes);
-        put_simple_frame(frame_type::FLUSH, &mut bytes);
-        put_simple_frame(frame_type::BYE, &mut bytes);
-
-        let mut fb = FrameBuffer::new();
-        fb.feed(&bytes);
-        let mut dec = EventDeltaState::new();
-        let raw = fb.next_frame().unwrap().expect("complete frame");
-        assert_eq!(
-            ClientFrame::decode(&raw, &mut dec),
-            Ok(ClientFrame::Events(events))
-        );
-        let raw = fb.next_frame().unwrap().expect("flush");
-        assert_eq!(ClientFrame::decode(&raw, &mut dec), Ok(ClientFrame::Flush));
-        let raw = fb.next_frame().unwrap().expect("bye");
-        assert_eq!(ClientFrame::decode(&raw, &mut dec), Ok(ClientFrame::Bye));
-        assert_eq!(fb.next_frame(), Ok(None));
-    }
-
-    #[test]
-    fn server_frames_round_trip() {
+    fn connection_frames_round_trip() {
         let frames = vec![
-            ServerFrame::HelloAck { window: 256 },
-            ServerFrame::Prediction {
-                seq: 9,
-                correct: true,
-                predicted: Some(0x9000),
-            },
-            ServerFrame::Prediction {
-                seq: 10,
-                correct: false,
-                predicted: None,
-            },
-            ServerFrame::Ack { through_seq: 128 },
-            ServerFrame::Backpressure {
-                batch: 300,
-                window: 256,
-            },
-            ServerFrame::Stats {
-                events: 1000,
-                predictions: 400,
-                mispredictions: 37,
-            },
             ServerFrame::ByeAck { events: 1000 },
             ServerFrame::Error {
                 code: ErrorCode::IdleTimeout,
@@ -1390,7 +1111,7 @@ mod tests {
 
     #[test]
     fn oversized_header_fails_before_payload_arrives() {
-        let mut bytes = vec![frame_type::EVENT_BATCH];
+        let mut bytes = vec![frame_type::MUX_EVENT_BATCH];
         put_uvarint(&mut bytes, MAX_FRAME_PAYLOAD + 1);
         let mut fb = FrameBuffer::new();
         fb.feed(&bytes);
@@ -1406,9 +1127,8 @@ mod tests {
             frame_type: 0x44,
             payload: vec![],
         };
-        let mut state = EventDeltaState::new();
         assert_eq!(
-            ClientFrame::decode(&raw, &mut state),
+            MuxClientFrame::decode(&raw),
             Err(ProtocolError::UnknownFrame(0x44))
         );
         assert_eq!(
@@ -1417,21 +1137,21 @@ mod tests {
         );
 
         let raw = RawFrame {
-            frame_type: frame_type::FLUSH,
+            frame_type: frame_type::BYE,
             payload: vec![0],
         };
         assert_eq!(
-            ClientFrame::decode(&raw, &mut state),
+            MuxClientFrame::decode(&raw),
             Err(ProtocolError::BadPayload("trailing bytes after payload"))
         );
     }
 
     #[test]
     fn prediction_flag_invariants_are_enforced() {
-        // Reserved flag bits.
+        // Reserved flag bits (payload: stream 0, seq 0, flags).
         let raw = RawFrame {
-            frame_type: frame_type::PREDICTION,
-            payload: vec![0, 0x04],
+            frame_type: frame_type::MUX_PREDICTION,
+            payload: vec![0, 0, 0x04],
         };
         assert!(matches!(
             ServerFrame::decode(&raw),
@@ -1439,8 +1159,8 @@ mod tests {
         ));
         // Correct without a target is contradictory.
         let raw = RawFrame {
-            frame_type: frame_type::PREDICTION,
-            payload: vec![0, 0x01],
+            frame_type: frame_type::MUX_PREDICTION,
+            payload: vec![0, 0, 0x01],
         };
         assert!(matches!(
             ServerFrame::decode(&raw),
@@ -1455,6 +1175,8 @@ mod tests {
             assert!(!code.to_string().is_empty());
         }
         assert_eq!(ErrorCode::from_u8(0), None);
+        // Byte 13 is retired, never reassigned.
+        assert_eq!(ErrorCode::from_u8(13), None);
         assert_eq!(ErrorCode::from_u8(200), None);
         let raw = RawFrame {
             frame_type: frame_type::ERROR,
@@ -1467,22 +1189,15 @@ mod tests {
     }
 
     #[test]
-    fn all_three_versions_negotiate_and_others_fail() {
-        for (version, mux) in [(1u8, false), (2, false), (3, true)] {
-            let hello = Hello {
-                version,
-                predictor_code: 0,
-                entries: 2048,
-            };
-            let mut bytes = Vec::new();
-            put_hello(&mut bytes, &hello);
-            let mut fb = FrameBuffer::new();
-            fb.feed(&bytes);
-            let parsed = fb.next_hello().unwrap().expect("complete");
-            assert_eq!(parsed, hello);
-            assert_eq!(parsed.is_mux(), mux, "version {version}");
-        }
-        for bad in [0u8, 4, 9, 0xFF] {
+    fn only_version_3_is_accepted() {
+        let mut bytes = Vec::new();
+        put_hello(&mut bytes, &Hello::mux(0, 2048));
+        let mut fb = FrameBuffer::new();
+        fb.feed(&bytes);
+        let parsed = fb.next_hello().unwrap().expect("complete");
+        assert_eq!(parsed.version, PROTOCOL_VERSION_MUX);
+        // The retired v1/v2 versions fail exactly like any unknown one.
+        for bad in [0u8, 1, 2, 4, 9, 0xFF] {
             let mut bytes = Vec::new();
             put_hello(
                 &mut bytes,
@@ -1496,10 +1211,6 @@ mod tests {
             fb.feed(&bytes);
             assert_eq!(fb.next_hello(), Err(ProtocolError::BadVersion(bad)));
         }
-        assert_eq!(Hello::legacy(3, 128).version, PROTOCOL_VERSION);
-        assert!(Hello::mux(3, 128).is_mux());
-        assert!(!version_is_mux(PROTOCOL_VERSION_V2));
-        assert!(version_is_supported(PROTOCOL_VERSION_V2));
     }
 
     #[test]
@@ -1546,19 +1257,19 @@ mod tests {
         decode_mux_events_into(&raw, header, &mut dec, &mut out).expect("decodes");
         assert_eq!(out, events);
 
-        // Legacy frames are not mux event batches.
-        let legacy = RawFrame {
-            frame_type: frame_type::EVENT_BATCH,
+        // The retired v1 event batch (0x01) is an unknown frame type to
+        // both decoders.
+        let retired = RawFrame {
+            frame_type: 0x01,
             payload: vec![0],
         };
         assert_eq!(
-            mux_events_header(&legacy),
-            Err(ProtocolError::UnknownFrame(frame_type::EVENT_BATCH))
+            mux_events_header(&retired),
+            Err(ProtocolError::UnknownFrame(0x01))
         );
-        // Legacy event batches are not decodable as non-event mux frames.
         assert_eq!(
-            MuxClientFrame::decode(&legacy),
-            Err(ProtocolError::UnknownFrame(frame_type::EVENT_BATCH))
+            MuxClientFrame::decode(&retired),
+            Err(ProtocolError::UnknownFrame(0x01))
         );
     }
 
@@ -1685,14 +1396,12 @@ mod tests {
     fn new_error_codes_are_pinned_and_stream_scoped_errors_decode() {
         assert_eq!(ErrorCode::UnknownStream.as_u8(), 11);
         assert_eq!(ErrorCode::StreamLimit.as_u8(), 12);
-        assert_eq!(ErrorCode::MuxNotNegotiated.as_u8(), 13);
         assert_eq!(ErrorCode::DuplicateStream.as_u8(), 14);
         assert_eq!(ErrorCode::EntriesTooLarge.as_u8(), 15);
-        assert_eq!(ErrorCode::ALL.len(), 15);
+        assert_eq!(ErrorCode::ALL.len(), 14);
         for code in [
             ErrorCode::UnknownStream,
             ErrorCode::StreamLimit,
-            ErrorCode::MuxNotNegotiated,
             ErrorCode::DuplicateStream,
             ErrorCode::EntriesTooLarge,
         ] {

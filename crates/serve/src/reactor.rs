@@ -10,16 +10,16 @@
 //!    admitting connections against the global session cap.
 //! 2. **Poll every connection** — flush its pending output, read until
 //!    `WouldBlock` into a shard-wide scratch buffer, then run the
-//!    connection's plane (handshake → legacy session or mux registry)
-//!    over every complete frame. Mux connections end the iteration with
-//!    one [`MuxConn::step_pending`] pass, so all of a connection's
+//!    connection's state (handshake → mux stream registry) over every
+//!    complete frame, ending the iteration with one
+//!    [`MuxConn::step_pending`] pass, so all of a connection's
 //!    resident streams step their accumulated batches back-to-back —
 //!    the decode → simulate → encode pipeline runs in lockstep across
 //!    sessions instead of ping-ponging per frame.
 //! 3. **Idle tick** — only when the whole shard made no progress:
-//!    sleep one tick and age every connection (and, on mux
-//!    connections, every *stream* — idle eviction is per stream; the
-//!    connection itself is only evicted when it has no streams left).
+//!    sleep one tick and age every connection and every *stream* —
+//!    idle eviction is per stream; the connection itself is only evicted
+//!    when it has no streams left.
 //!
 //! Writes are fully decoupled from the protocol logic: frames are
 //! encoded into a per-connection output buffer, flushed as far as the
@@ -31,15 +31,11 @@
 //! Nothing here keeps time except tick *counting* — the reactor's
 //! clockless idle accounting matches PR 4/5's determinism discipline.
 
-use crate::mux::{ConnFatal, MuxConn, MuxProgress};
-use crate::protocol::{
-    frame_type, version_is_mux, ClientFrame, ErrorCode, FrameBuffer, ServerFrame,
-};
-use crate::session::{Session, SessionFatal, MAX_ENTRIES, MIN_ENTRIES};
+use crate::mux::{ConnFatal, MuxConn, MuxProgress, MAX_ENTRIES, MIN_ENTRIES};
+use crate::protocol::{ErrorCode, FrameBuffer, ServerFrame};
 use crate::spill::{DiskSpillStore, MemorySpillStore, SpillStore, TierCache};
 use ibp_metrics::{Log2Histogram, MetricsSnapshot};
 use ibp_sim::{PredictorKind, TableEncoding};
-use ibp_trace::wire::EventDeltaState;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -130,7 +126,6 @@ enum SessionEnd {
     IdleEvicted,
     HandshakeRejected,
     ProtocolError,
-    WindowOverflow,
     WriteFailed,
     IoFailed,
     ForcedShutdown,
@@ -144,7 +139,6 @@ impl SessionEnd {
             SessionEnd::IdleEvicted => "serve_idle_evictions",
             SessionEnd::HandshakeRejected => "serve_handshake_rejects",
             SessionEnd::ProtocolError => "serve_protocol_errors",
-            SessionEnd::WindowOverflow => "serve_window_overflows",
             SessionEnd::WriteFailed => "serve_write_failures",
             SessionEnd::IoFailed => "serve_io_failures",
             SessionEnd::ForcedShutdown => "serve_forced_closes",
@@ -167,16 +161,11 @@ impl Tallies {
     }
 }
 
-/// Which protocol plane a connection negotiated.
+/// Where a connection is in its life: before or after the handshake.
 enum Plane {
     /// Still waiting for (or parsing) the handshake.
     Handshake,
-    /// v1/v2: one predictor session per connection.
-    Legacy {
-        session: Session,
-        decode: EventDeltaState,
-    },
-    /// v3: a stream registry.
+    /// Handshake accepted: a stream registry.
     Mux {
         conn: MuxConn,
         /// Streams open after the previous poll, for maintaining the
@@ -311,7 +300,7 @@ impl Conn {
         }
     }
 
-    /// Parses the handshake if complete, opening the negotiated plane.
+    /// Parses the handshake if complete, opening the stream registry.
     /// Returns true when more frames may follow this poll.
     fn advance_handshake(&mut self, shared: &Shared) -> bool {
         let cfg = &shared.cfg;
@@ -324,17 +313,17 @@ impl Conn {
                 return false;
             }
         };
-        // Uniform rejection surface: v3 hellos carry a predictor and
-        // budget too (streams re-declare their own per MUX_OPEN), and
-        // they are vetted exactly like a legacy handshake.
-        let Some(kind) = PredictorKind::from_wire_code(hello.predictor_code) else {
+        // The hello's predictor and budget bind nothing (streams declare
+        // their own per MUX_OPEN) but are vetted like a MUX_OPEN's, so a
+        // client learns of a bad default before opening any stream.
+        if PredictorKind::from_wire_code(hello.predictor_code).is_none() {
             self.queue_error(
                 ErrorCode::UnknownPredictor,
                 format!("wire code {:#04x} is unassigned", hello.predictor_code),
             );
             self.finish(SessionEnd::HandshakeRejected);
             return false;
-        };
+        }
         if hello.entries > MAX_ENTRIES {
             // Too large is its own typed rejection: the budget was
             // well-formed, the server just caps per-session tables at
@@ -357,54 +346,43 @@ impl Conn {
             self.finish(SessionEnd::HandshakeRejected);
             return false;
         }
-        if version_is_mux(hello.version) {
-            let conn = match &shared.tiers {
-                Some(tiers) => {
-                    // Memory plane on: streams fork from the shared
-                    // sealed tiers, and this connection gets its own
-                    // spill store (stream ids are conn-scoped).
-                    let store: Box<dyn SpillStore> = match &cfg.spill_dir {
-                        Some(dir) => {
-                            let prefix = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
-                            match DiskSpillStore::new(dir, prefix) {
-                                Ok(s) => Box::new(s),
-                                // An unusable spill directory degrades
-                                // to heap spill rather than refusing
-                                // service.
-                                Err(_) => Box::new(MemorySpillStore::new()),
-                            }
+        let conn = match &shared.tiers {
+            Some(tiers) => {
+                // Memory plane on: streams fork from the shared
+                // sealed tiers, and this connection gets its own
+                // spill store (stream ids are conn-scoped).
+                let store: Box<dyn SpillStore> = match &cfg.spill_dir {
+                    Some(dir) => {
+                        let prefix = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
+                        match DiskSpillStore::new(dir, prefix) {
+                            Ok(s) => Box::new(s),
+                            // An unusable spill directory degrades
+                            // to heap spill rather than refusing
+                            // service.
+                            Err(_) => Box::new(MemorySpillStore::new()),
                         }
-                        None => Box::new(MemorySpillStore::new()),
-                    };
-                    MuxConn::with_memory(
-                        cfg.window,
-                        cfg.max_streams,
-                        Some(Arc::clone(tiers)),
-                        Some(store),
-                    )
-                }
-                None => MuxConn::new(cfg.window, cfg.max_streams),
-            };
-            self.queue(&conn.hello_ack());
-            self.plane = Plane::Mux {
-                conn,
-                last_streams: 0,
-            };
-        } else {
-            let session = Session::new(kind, hello.entries as usize, cfg.window);
-            self.queue(&ServerFrame::HelloAck {
-                window: session.window(),
-            });
-            self.plane = Plane::Legacy {
-                session,
-                decode: EventDeltaState::new(),
-            };
-        }
+                    }
+                    None => Box::new(MemorySpillStore::new()),
+                };
+                MuxConn::with_memory(
+                    cfg.window,
+                    cfg.max_streams,
+                    Some(Arc::clone(tiers)),
+                    Some(store),
+                )
+            }
+            None => MuxConn::new(cfg.window, cfg.max_streams),
+        };
+        self.queue(&conn.hello_ack());
+        self.plane = Plane::Mux {
+            conn,
+            last_streams: 0,
+        };
         true
     }
 
-    /// Runs the negotiated plane over every complete frame in the
-    /// buffer, then (mux) steps accumulated batches.
+    /// Runs the stream registry over every complete frame in the
+    /// buffer, then steps accumulated batches.
     fn process(&mut self, shared: &Shared, responses: &mut Vec<ServerFrame>) {
         if matches!(self.plane, Plane::Handshake) && !self.advance_handshake(shared) {
             return;
@@ -424,74 +402,25 @@ impl Conn {
             };
             self.tallies.frames = self.tallies.frames.saturating_add(1);
             self.tallies.frame_bytes.record(raw.payload.len() as u64);
-            match &mut self.plane {
-                Plane::Handshake => break,
-                Plane::Legacy { session, decode } => {
-                    if (frame_type::MUX_OPEN..=frame_type::MUX_CLOSE).contains(&raw.frame_type) {
-                        self.queue_error(
-                            ErrorCode::MuxNotNegotiated,
-                            format!(
-                                "mux frame {:#04x} on a v1/v2 connection (negotiate version 3)",
-                                raw.frame_type
-                            ),
-                        );
-                        self.finish(SessionEnd::ProtocolError);
-                        continue;
-                    }
-                    match ClientFrame::decode(&raw, decode) {
-                        Ok(ClientFrame::Events(events)) => {
-                            responses.clear();
-                            match session.on_events(&events, responses) {
-                                Ok(()) => {
-                                    for f in responses.iter() {
-                                        f.put(&mut self.outbuf);
-                                    }
-                                }
-                                Err(SessionFatal::WindowOverflow { batch, limit }) => {
-                                    self.queue_error(
-                                        ErrorCode::WindowOverflow,
-                                        format!(
-                                            "batch of {batch} events exceeds limit {limit}"
-                                        ),
-                                    );
-                                    self.finish(SessionEnd::WindowOverflow);
-                                }
-                            }
-                        }
-                        Ok(ClientFrame::Flush) => {
-                            let stats = session.stats_frame();
-                            self.queue(&stats);
-                        }
-                        Ok(ClientFrame::Bye) => {
-                            let bye = session.bye_frame();
-                            self.queue(&bye);
-                            self.finish(SessionEnd::CleanBye);
-                        }
-                        Err(e) => {
-                            self.queue_error(e.error_code(), e.to_string());
-                            self.finish(SessionEnd::ProtocolError);
-                        }
+            let Plane::Mux { conn, .. } = &mut self.plane else {
+                break;
+            };
+            responses.clear();
+            match conn.on_frame(&raw, responses) {
+                Ok(MuxProgress::Continue) => {
+                    for f in responses.iter() {
+                        f.put(&mut self.outbuf);
                     }
                 }
-                Plane::Mux { conn, .. } => {
-                    responses.clear();
-                    match conn.on_frame(&raw, responses) {
-                        Ok(MuxProgress::Continue) => {
-                            for f in responses.iter() {
-                                f.put(&mut self.outbuf);
-                            }
-                        }
-                        Ok(MuxProgress::Bye) => {
-                            for f in responses.iter() {
-                                f.put(&mut self.outbuf);
-                            }
-                            self.finish(SessionEnd::CleanBye);
-                        }
-                        Err(ConnFatal::Protocol(e)) => {
-                            self.queue_error(e.error_code(), e.to_string());
-                            self.finish(SessionEnd::ProtocolError);
-                        }
+                Ok(MuxProgress::Bye) => {
+                    for f in responses.iter() {
+                        f.put(&mut self.outbuf);
                     }
+                    self.finish(SessionEnd::CleanBye);
+                }
+                Err(ConnFatal::Protocol(e)) => {
+                    self.queue_error(e.error_code(), e.to_string());
+                    self.finish(SessionEnd::ProtocolError);
                 }
             }
         }
@@ -583,34 +512,25 @@ impl Conn {
         metrics.add_counter(end.counter(), 1);
         metrics.add_counter("serve_frames", self.tallies.frames);
         metrics.merge_histogram("serve_frame_bytes", &self.tallies.frame_bytes);
-        match &self.plane {
-            Plane::Handshake => {}
-            Plane::Legacy { session, .. } => {
-                metrics.add_counter("serve_events", session.events());
-                metrics.add_shard_counter("serve_events", shard, session.events());
-                metrics.add_counter("serve_predictions", session.predictions());
-                metrics.add_counter("serve_mispredictions", session.mispredictions());
-            }
-            Plane::Mux { conn, .. } => {
-                let t = conn.tallies();
-                metrics.add_counter("serve_events", t.events);
-                metrics.add_shard_counter("serve_events", shard, t.events);
-                metrics.add_counter("serve_predictions", t.predictions);
-                metrics.add_counter("serve_mispredictions", t.mispredictions);
-                metrics.add_counter("serve_mux_streams", t.opened);
-                metrics.add_counter("serve_mux_clean_closes", t.closed_clean);
-                metrics.add_counter("serve_mux_stream_errors", t.stream_errors);
-                metrics.add_counter("serve_mux_window_overflows", t.window_overflows);
-                metrics.add_counter("serve_mux_backpressure", t.backpressure_warnings);
-                metrics.add_counter("serve_idle_evictions", t.idle_evictions);
-                metrics.add_counter("serve_mux_spilled", t.spilled);
-                metrics.add_counter("serve_mux_restored", t.restored);
-                metrics.add_counter("serve_spill_bytes", t.spill_bytes);
-                metrics.add_counter("serve_restore_bytes", t.restore_bytes);
-                metrics.add_counter("serve_spill_failures", t.spill_failures);
-                metrics.record_max("serve_bytes_per_session", t.max_session_bytes);
-                metrics.record_max("serve_peak_spilled_streams", t.peak_spilled_streams);
-            }
+        if let Plane::Mux { conn, .. } = &self.plane {
+            let t = conn.tallies();
+            metrics.add_counter("serve_events", t.events);
+            metrics.add_shard_counter("serve_events", shard, t.events);
+            metrics.add_counter("serve_predictions", t.predictions);
+            metrics.add_counter("serve_mispredictions", t.mispredictions);
+            metrics.add_counter("serve_mux_streams", t.opened);
+            metrics.add_counter("serve_mux_clean_closes", t.closed_clean);
+            metrics.add_counter("serve_mux_stream_errors", t.stream_errors);
+            metrics.add_counter("serve_mux_window_overflows", t.window_overflows);
+            metrics.add_counter("serve_mux_backpressure", t.backpressure_warnings);
+            metrics.add_counter("serve_idle_evictions", t.idle_evictions);
+            metrics.add_counter("serve_mux_spilled", t.spilled);
+            metrics.add_counter("serve_mux_restored", t.restored);
+            metrics.add_counter("serve_spill_bytes", t.spill_bytes);
+            metrics.add_counter("serve_restore_bytes", t.restore_bytes);
+            metrics.add_counter("serve_spill_failures", t.spill_failures);
+            metrics.record_max("serve_bytes_per_session", t.max_session_bytes);
+            metrics.record_max("serve_peak_spilled_streams", t.peak_spilled_streams);
         }
     }
 }

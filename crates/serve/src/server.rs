@@ -1,13 +1,13 @@
 //! The TCP server: thread-per-core shards, sharded accept, graceful
 //! drain.
 //!
-//! Since IBPS v3 the server is a bank of [`ibp_exec::ShardPool`] shards,
-//! each running the non-blocking reactor loop in [`crate::reactor`] over
-//! a clone of the listener. A connection lives its whole life on the
-//! shard that accepted it — its socket, frame buffer, negotiated plane
-//! (legacy session or mux stream registry) and telemetry never cross
-//! threads, so concurrency cannot perturb prediction (pinned by the
-//! sharded differential suite at shard counts 1, 2 and 8).
+//! The server is a bank of [`ibp_exec::ShardPool`] shards, each running
+//! the non-blocking reactor loop in [`crate::reactor`] over a clone of
+//! the listener. A connection lives its whole life on the shard that
+//! accepted it — its socket, frame buffer, stream registry and
+//! telemetry never cross threads, so concurrency cannot perturb
+//! prediction (pinned by the sharded differential suite at shard counts
+//! 1, 2 and 8).
 //!
 //! Time never enters prediction: idleness is *accounted* in reactor
 //! ticks, not measured — a shard only ages its connections (and their
@@ -46,8 +46,8 @@ pub struct ServerConfig {
     /// Per-connection cap on concurrently open mux streams; further
     /// `MUX_OPEN`s get a stream-scoped `stream-limit` error.
     pub max_streams: u64,
-    /// Send-credit window advertised at handshake, in events. On the
-    /// mux plane this is the *per-stream* window.
+    /// The *per-stream* send-credit window advertised at handshake, in
+    /// events.
     pub window: u64,
     /// The idle-accounting tick: how long a shard sleeps when none of
     /// its connections moved a byte.

@@ -1,4 +1,7 @@
-//! Fuzz-style property suite for the IBPS protocol decoders.
+//! Fuzz-style property suite for the IBPS protocol decoders: the
+//! handshake, a whole one-stream client session, and the
+//! connection-level server frames (`tests/mux_prop.rs` covers
+//! multi-stream interleaving and the per-stream server frames).
 //!
 //! Three invariants, each driven by the in-tree property harness:
 //!
@@ -13,8 +16,11 @@
 //!    binary; there is nothing to catch.
 
 use ibp_isa::{Addr, BranchClass};
-use ibp_serve::protocol::{frame_type, put_events_frame, put_hello, put_simple_frame};
-use ibp_serve::{ClientFrame, ErrorCode, FrameBuffer, Hello, ServerFrame};
+use ibp_serve::protocol::{
+    decode_mux_events_into, frame_type, mux_events_header, put_hello, put_mux_events_frame,
+    put_mux_open, put_mux_stream_frame, put_simple_frame,
+};
+use ibp_serve::{ErrorCode, FrameBuffer, Hello, MuxClientFrame, ServerFrame};
 use ibp_testkit::{prop_assert, prop_assert_eq, Prop, TestRng};
 use ibp_trace::wire::EventDeltaState;
 use ibp_trace::BranchEvent;
@@ -46,37 +52,15 @@ fn gen_event(rng: &mut TestRng) -> BranchEvent {
     )
 }
 
+/// One of the connection-level server frames: the handshake answer,
+/// the goodbye and the typed connection error.
 fn gen_server_frame(rng: &mut TestRng) -> ServerFrame {
-    match rng.gen_range(0u32..7) {
-        0 => ServerFrame::HelloAck {
+    match rng.gen_range(0u32..3) {
+        0 => ServerFrame::MuxHelloAck {
             window: rng.gen_range(1u64..10_000),
+            max_streams: rng.gen_range(1u64..100_000),
         },
-        1 => {
-            let predicted = if rng.gen_bool(0.5) {
-                Some(rng.next_u64() >> 1)
-            } else {
-                None
-            };
-            ServerFrame::Prediction {
-                seq: rng.next_u64() >> 1,
-                // `correct` implies a target was produced.
-                correct: predicted.is_some() && rng.gen_bool(0.5),
-                predicted,
-            }
-        }
-        2 => ServerFrame::Ack {
-            through_seq: rng.next_u64() >> 1,
-        },
-        3 => ServerFrame::Backpressure {
-            batch: rng.gen_range(1u64..100_000),
-            window: rng.gen_range(1u64..100_000),
-        },
-        4 => ServerFrame::Stats {
-            events: rng.next_u64() >> 1,
-            predictions: rng.next_u64() >> 1,
-            mispredictions: rng.next_u64() >> 1,
-        },
-        5 => ServerFrame::ByeAck {
+        1 => ServerFrame::ByeAck {
             events: rng.next_u64() >> 1,
         },
         _ => {
@@ -117,29 +101,57 @@ fn apply_ops(bytes: &mut Vec<u8>, ops: &[(u8, u64, u8)]) {
     }
 }
 
-/// Encodes a full client byte stream: handshake, then the event batches,
-/// a FLUSH and a BYE.
+/// The stream id every generated client session uses.
+const STREAM: u64 = 7;
+
+/// One decoded client frame: an event batch (decoded against the
+/// stream's delta state) or any other client frame.
+#[derive(Debug, Clone, PartialEq)]
+enum ClientItem {
+    Events(u64, Vec<BranchEvent>),
+    Frame(MuxClientFrame),
+}
+
+/// Encodes a full one-stream client byte stream: handshake, `MUX_OPEN`,
+/// the event batches, a `MUX_FLUSH`, a `MUX_CLOSE` and a `BYE`.
 fn client_stream(hello: &Hello, batches: &[Vec<BranchEvent>]) -> Vec<u8> {
     let mut bytes = Vec::new();
     put_hello(&mut bytes, hello);
+    put_mux_open(&mut bytes, STREAM, hello.predictor_code, hello.entries, true);
     let mut enc = EventDeltaState::new();
     for batch in batches {
-        put_events_frame(&mut enc, batch, &mut bytes);
+        put_mux_events_frame(&mut enc, STREAM, batch, &mut bytes);
     }
-    put_simple_frame(frame_type::FLUSH, &mut bytes);
+    put_mux_stream_frame(frame_type::MUX_FLUSH, STREAM, &mut bytes);
+    put_mux_stream_frame(frame_type::MUX_CLOSE, STREAM, &mut bytes);
     put_simple_frame(frame_type::BYE, &mut bytes);
     bytes
+}
+
+/// What [`client_stream`] decodes back to.
+fn expected_items(hello: &Hello, batches: &[Vec<BranchEvent>]) -> Vec<ClientItem> {
+    let mut items = vec![ClientItem::Frame(MuxClientFrame::Open {
+        stream: STREAM,
+        predictor_code: hello.predictor_code,
+        entries: hello.entries,
+        verbose: true,
+    })];
+    items.extend(batches.iter().map(|b| ClientItem::Events(STREAM, b.clone())));
+    items.push(ClientItem::Frame(MuxClientFrame::Flush { stream: STREAM }));
+    items.push(ClientItem::Frame(MuxClientFrame::Close { stream: STREAM }));
+    items.push(ClientItem::Frame(MuxClientFrame::Bye));
+    items
 }
 
 /// Drains everything a client byte stream contains, feeding the buffer
 /// in the given fragments.
 fn parse_client_stream(
     fragments: &[&[u8]],
-) -> Result<(Option<Hello>, Vec<ClientFrame>), ibp_serve::ProtocolError> {
+) -> Result<(Option<Hello>, Vec<ClientItem>), ibp_serve::ProtocolError> {
     let mut fb = FrameBuffer::new();
     let mut state = EventDeltaState::new();
     let mut hello = None;
-    let mut frames = Vec::new();
+    let mut items = Vec::new();
     for fragment in fragments {
         fb.feed(fragment);
         if hello.is_none() {
@@ -149,10 +161,17 @@ fn parse_client_stream(
             }
         }
         while let Some(raw) = fb.next_frame()? {
-            frames.push(ClientFrame::decode(&raw, &mut state)?);
+            if raw.frame_type == frame_type::MUX_EVENT_BATCH {
+                let header = mux_events_header(&raw)?;
+                let mut events = Vec::new();
+                decode_mux_events_into(&raw, header, &mut state, &mut events)?;
+                items.push(ClientItem::Events(header.stream, events));
+            } else {
+                items.push(ClientItem::Frame(MuxClientFrame::decode(&raw)?));
+            }
         }
     }
-    Ok((hello, frames))
+    Ok((hello, items))
 }
 
 /// Round-trip + fragmentation invariance for the client side of the
@@ -170,18 +189,13 @@ fn client_stream_parse_is_fragmentation_invariant() {
             (code, entries, batches, cuts)
         },
         |(code, entries, batches, cuts)| {
-            let hello = Hello::legacy(*code, *entries);
+            let hello = Hello::mux(*code, *entries);
             let bytes = client_stream(&hello, batches);
             // Reference parse: one fragment.
             let (ref_hello, ref_frames) =
                 parse_client_stream(&[&bytes]).expect("valid stream parses");
             prop_assert_eq!(ref_hello, Some(hello));
-            let mut expect: Vec<ClientFrame> = batches
-                .iter()
-                .map(|b| ClientFrame::Events(b.clone()))
-                .collect();
-            expect.push(ClientFrame::Flush);
-            expect.push(ClientFrame::Bye);
+            let expect = expected_items(&hello, batches);
             prop_assert_eq!(&ref_frames, &expect);
 
             // Fragmented parse: split at arbitrary sorted offsets.
@@ -206,7 +220,7 @@ fn client_stream_parse_is_fragmentation_invariant() {
     );
 }
 
-/// Server frames round-trip through their codec.
+/// Connection-level server frames round-trip through their codec.
 #[test]
 fn server_frames_round_trip() {
     Prop::new("server_frames_round_trip").run(
@@ -242,7 +256,7 @@ fn mutated_client_streams_never_panic() {
             (code, entries, batches, gen_ops(rng))
         },
         |(code, entries, batches, ops)| {
-            let hello = Hello::legacy(*code, *entries);
+            let hello = Hello::mux(*code, *entries);
             let mut bytes = client_stream(&hello, batches);
             apply_ops(&mut bytes, ops);
             // Must return (Ok or typed Err), never panic or loop forever.
@@ -298,7 +312,7 @@ fn garbage_handshakes_fail_typed() {
 }
 
 /// The drain-path error frame round-trips with its wire spelling: a
-/// server announcing `shutting-down` must be decodable by a v2 client.
+/// server announcing `shutting-down` must be decodable by any client.
 #[test]
 fn shutting_down_error_round_trips() {
     let frame = ServerFrame::Error {

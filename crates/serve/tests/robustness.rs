@@ -3,12 +3,12 @@
 //! close — it never hangs, never panics, and keeps serving afterwards.
 
 use ibp_serve::protocol::{
-    frame_type, put_events_frame, put_hello, put_mux_events_frame, put_mux_open,
-    put_mux_stream_frame, put_simple_frame,
+    frame_type, put_hello, put_mux_events_frame, put_mux_open, put_mux_stream_frame,
+    put_simple_frame,
 };
 use ibp_serve::{
-    ClientError, ErrorCode, FrameBuffer, Hello, MuxClient, ServeClient, Server, ServerConfig,
-    ServerFrame, MAX_FRAME_PAYLOAD,
+    ClientError, ErrorCode, FrameBuffer, Hello, MuxClient, Server, ServerConfig, ServerFrame,
+    MAX_ENTRIES, MAX_FRAME_PAYLOAD,
 };
 use ibp_sim::PredictorKind;
 use ibp_trace::wire::EventDeltaState;
@@ -68,6 +68,15 @@ fn indirect_events(n: u64) -> Vec<BranchEvent> {
         .collect()
 }
 
+fn mux_hello() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    put_hello(
+        &mut bytes,
+        &Hello::mux(PredictorKind::Btb.wire_code(), 2048),
+    );
+    bytes
+}
+
 #[test]
 fn handshake_rejections_are_typed() {
     let server = quick_server();
@@ -81,18 +90,12 @@ fn handshake_rejections_are_typed() {
 
     // Unassigned predictor wire code.
     let mut bytes = Vec::new();
-    put_hello(
-        &mut bytes,
-        &Hello::legacy(42, 2048),
-    );
+    put_hello(&mut bytes, &Hello::mux(42, 2048));
     expect_error(&exchange(addr, &bytes), ErrorCode::UnknownPredictor);
 
     // Absurd entries budget.
     let mut bytes = Vec::new();
-    put_hello(
-        &mut bytes,
-        &Hello::legacy(PredictorKind::Btb.wire_code(), 7),
-    );
+    put_hello(&mut bytes, &Hello::mux(PredictorKind::Btb.wire_code(), 7));
     expect_error(&exchange(addr, &bytes), ErrorCode::BadBudget);
 
     // Too *large* a budget is its own typed rejection, distinct from
@@ -101,69 +104,93 @@ fn handshake_rejections_are_typed() {
     let mut bytes = Vec::new();
     put_hello(
         &mut bytes,
-        &Hello::legacy(PredictorKind::Btb.wire_code(), (1 << 20) + 1),
+        &Hello::mux(PredictorKind::Btb.wire_code(), MAX_ENTRIES + 1),
     );
     expect_error(&exchange(addr, &bytes), ErrorCode::EntriesTooLarge);
 
-    // The typed client surfaces the same rejections.
-    match ServeClient::connect(addr, PredictorKind::Btb, 7) {
-        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::BadBudget),
-        other => panic!("expected Rejected, got {other:?}"),
-    }
-    match ServeClient::connect(addr, PredictorKind::Btb, (1 << 20) + 1) {
-        Err(ClientError::Rejected { code, .. }) => {
-            assert_eq!(code, ErrorCode::EntriesTooLarge)
+    // The typed client surfaces the same budget rejections, scoped to
+    // the stream that asked.
+    let mut client = MuxClient::connect(addr).expect("v3 handshake");
+    for (stream, entries, want) in [
+        (1, 7, ErrorCode::BadBudget),
+        (2, MAX_ENTRIES + 1, ErrorCode::EntriesTooLarge),
+    ] {
+        client
+            .open(stream, PredictorKind::Btb, entries, false)
+            .expect("open is pipelined");
+        match client.stats(stream) {
+            Err(ClientError::StreamRejected { code, .. }) => assert_eq!(code, want),
+            other => panic!("expected StreamRejected {want}, got {other:?}"),
         }
-        other => panic!("expected Rejected, got {other:?}"),
     }
+    client.bye().expect("the connection survives stream rejections");
 
     let report = server.shutdown();
     assert!(report.drained_clean);
-    assert_eq!(report.metrics.counter("serve_handshake_rejects"), 7);
-    assert_eq!(report.metrics.counter("serve_sessions"), 7);
+    assert_eq!(report.metrics.counter("serve_handshake_rejects"), 5);
+    assert_eq!(report.metrics.counter("serve_sessions"), 6);
+    // Each rejected open, plus the `unknown-stream` answer to the stats
+    // request that found the stream gone.
+    assert_eq!(report.metrics.counter("serve_mux_stream_errors"), 4);
+}
+
+/// The retired v1/v2 single-session plane is refused at the handshake
+/// like any unknown version: a typed `bad-version`, counted as a
+/// handshake reject.
+#[test]
+fn retired_v1_v2_hellos_are_refused_typed() {
+    let server = quick_server();
+    let addr = server.local_addr();
+    for version in [1u8, 2] {
+        let mut bytes = Vec::new();
+        put_hello(
+            &mut bytes,
+            &Hello {
+                version,
+                predictor_code: PredictorKind::Btb.wire_code(),
+                entries: 2048,
+            },
+        );
+        let frames = exchange(addr, &bytes);
+        assert_eq!(frames.len(), 1, "only the error, no session: {frames:?}");
+        expect_error(&frames, ErrorCode::BadVersion);
+    }
+    let report = server.shutdown();
+    assert!(report.drained_clean);
+    assert_eq!(report.metrics.counter("serve_handshake_rejects"), 2);
+    assert_eq!(report.metrics.counter("serve_protocol_errors"), 0);
 }
 
 #[test]
 fn bad_frames_after_handshake_are_typed() {
     let server = quick_server();
     let addr = server.local_addr();
-    let mut hello = Vec::new();
-    put_hello(
-        &mut hello,
-        &Hello::legacy(PredictorKind::Btb.wire_code(), 2048),
-    );
+    let hello = mux_hello();
 
     // Unknown frame type.
     let mut bytes = hello.clone();
     bytes.extend_from_slice(&[0x44, 0x00]);
     let frames = exchange(addr, &bytes);
-    assert!(matches!(frames.first(), Some(ServerFrame::HelloAck { .. })));
+    assert!(matches!(frames.first(), Some(ServerFrame::MuxHelloAck { .. })));
     expect_error(&frames, ErrorCode::BadFrame);
 
     // Oversized frame header: rejected before any payload arrives.
     let mut bytes = hello.clone();
-    bytes.push(frame_type::EVENT_BATCH);
+    bytes.push(frame_type::MUX_EVENT_BATCH);
     ibp_trace::wire::put_uvarint(&mut bytes, MAX_FRAME_PAYLOAD + 1);
     expect_error(&exchange(addr, &bytes), ErrorCode::Oversized);
 
-    // Garbage payload inside a well-framed EVENT_BATCH.
+    // Garbage payload inside a well-framed MUX_EVENT_BATCH: no stream id
+    // parses, so the failure is connection-fatal.
     let mut bytes = hello.clone();
-    bytes.extend_from_slice(&[frame_type::EVENT_BATCH, 3, 0xFF, 0xFF, 0xFF]);
+    bytes.extend_from_slice(&[frame_type::MUX_EVENT_BATCH, 3, 0xFF, 0xFF, 0xFF]);
     expect_error(&exchange(addr, &bytes), ErrorCode::BadFrame);
-
-    // A batch beyond twice the advertised window is fatal.
-    let mut bytes = hello.clone();
-    let mut enc = EventDeltaState::new();
-    let window = ServerConfig::default().window;
-    put_events_frame(&mut enc, &indirect_events(window * 2 + 1), &mut bytes);
-    expect_error(&exchange(addr, &bytes), ErrorCode::WindowOverflow);
 
     let report = server.shutdown();
     assert!(report.drained_clean);
     assert_eq!(report.metrics.counter("serve_protocol_errors"), 3);
-    assert_eq!(report.metrics.counter("serve_window_overflows"), 1);
-    // The server kept serving throughout: every session got its HelloAck.
-    assert_eq!(report.metrics.counter("serve_sessions"), 4);
+    // The server kept serving throughout: every session got its hello ack.
+    assert_eq!(report.metrics.counter("serve_sessions"), 3);
 }
 
 #[test]
@@ -194,19 +221,21 @@ fn busy_server_rejects_excess_sessions() {
     let addr = server.local_addr();
 
     // First session occupies the only slot.
-    let mut first =
-        ServeClient::connect(addr, PredictorKind::Btb, 2048).expect("first session accepted");
+    let mut first = MuxClient::connect(addr).expect("first session accepted");
 
     // Second connection is turned away with a typed Busy.
-    match ServeClient::connect(addr, PredictorKind::Btb, 2048) {
+    match MuxClient::connect(addr) {
         Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Busy),
         other => panic!("expected Busy rejection, got {other:?}"),
     }
 
     // The surviving session still works end to end.
-    let run = first.predict_all(&indirect_events(32)).expect("stream");
-    assert_eq!(run.events_sent(), 32);
-    first.close().expect("clean bye");
+    first
+        .open(1, PredictorKind::Btb, 2048, false)
+        .expect("open");
+    first.send(1, &indirect_events(32)).expect("stream");
+    assert_eq!(first.finish(1).expect("close receipt").events(), 32);
+    first.bye().expect("clean bye");
 
     let report = server.shutdown();
     assert!(report.drained_clean);
@@ -219,8 +248,7 @@ fn eof_mid_session_is_not_an_error() {
     let server = quick_server();
     let addr = server.local_addr();
     {
-        let _client =
-            ServeClient::connect(addr, PredictorKind::Btb, 2048).expect("accepted");
+        let _client = MuxClient::connect(addr).expect("accepted");
         // Dropped here: the socket closes without BYE.
     }
     let report = server.shutdown();
@@ -236,15 +264,6 @@ fn shutdown_with_no_sessions_reports_clean() {
     assert!(report.drained_clean);
     assert_eq!(report.metrics.counter("serve_sessions"), 0);
     assert_eq!(report.pool.panicked, 0);
-}
-
-fn mux_hello() -> Vec<u8> {
-    let mut bytes = Vec::new();
-    put_hello(
-        &mut bytes,
-        &Hello::mux(PredictorKind::Btb.wire_code(), 2048),
-    );
-    bytes
 }
 
 /// Events on a stream id that was never opened draw a stream-scoped
@@ -342,36 +361,9 @@ fn hog_stream_dies_alone_sibling_keeps_serving() {
     let report = server.shutdown();
     assert!(report.drained_clean);
     assert_eq!(report.metrics.counter("serve_mux_window_overflows"), 1);
-    assert_eq!(report.metrics.counter("serve_window_overflows"), 0);
     assert_eq!(report.metrics.counter("serve_mux_clean_closes"), 1);
     assert_eq!(report.metrics.counter("serve_clean_byes"), 1);
     assert_eq!(report.metrics.counter("serve_events"), sibling_events);
-}
-
-/// Mux frames on a connection that negotiated v2 (the legacy plane) are
-/// a typed `mux-not-negotiated` error, never a panic or a silent drop.
-#[test]
-fn mux_frames_on_a_v2_connection_are_rejected_typed() {
-    let server = quick_server();
-    let addr = server.local_addr();
-
-    let mut bytes = Vec::new();
-    put_hello(
-        &mut bytes,
-        &Hello {
-            version: 2,
-            predictor_code: PredictorKind::Btb.wire_code(),
-            entries: 2048,
-        },
-    );
-    put_mux_open(&mut bytes, 1, PredictorKind::Btb.wire_code(), 2048, false);
-    let frames = exchange(addr, &bytes);
-    assert!(matches!(frames.first(), Some(ServerFrame::HelloAck { .. })));
-    expect_error(&frames, ErrorCode::MuxNotNegotiated);
-
-    let report = server.shutdown();
-    assert!(report.drained_clean);
-    assert_eq!(report.metrics.counter("serve_protocol_errors"), 1);
 }
 
 /// EOF halfway through a mux event batch: the partial frame is

@@ -180,36 +180,3 @@ fn two_shards_wide_mux_matches_offline() {
     let events: Vec<BranchEvent> = test_events().into_iter().take(1200).collect();
     run_config(2, 256, &events);
 }
-
-/// The legacy (v1) and mux (v3) planes answer the same events with the
-/// same results on the same server — version negotiation selects a
-/// transport, never a different simulation.
-#[test]
-fn legacy_and_mux_planes_agree() {
-    let events = test_events();
-    let server = Server::start(ServerConfig::default()).expect("bind loopback");
-    let addr = server.local_addr();
-    for kind in [PredictorKind::Btb, PredictorKind::PpmHyb, PredictorKind::IttageLite] {
-        let mut legacy =
-            ibp_serve::ServeClient::connect(addr, kind, ENTRIES).expect("v1 handshake");
-        let run = legacy.predict_all(&events).expect("lockstep stream");
-        let legacy_result = run.into_run_result();
-        let _ = legacy.close().expect("bye");
-
-        let mut mux = MuxClient::connect(addr).expect("v3 handshake");
-        mux.open(1, kind, ENTRIES, false).expect("open");
-        mux.send(1, &events).expect("send");
-        let mux_result = mux.finish(1).expect("close receipt").into_run_result();
-        let _ = mux.bye().expect("bye");
-
-        assert_eq!(
-            run_result_to_json(&legacy_result),
-            run_result_to_json(&mux_result),
-            "planes diverged for {}",
-            kind.cli_name()
-        );
-    }
-    let report = server.shutdown();
-    assert!(report.drained_clean);
-    assert_eq!(report.metrics.counter("serve_protocol_errors"), 0);
-}

@@ -15,6 +15,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== committed inputs are tracked =="
+# Every committed file a later stage or --check reads must be in git:
+# an untracked (e.g. gitignored) artifact passes on the machine that made
+# it and fails on every fresh clone.
+git ls-files --error-unmatch \
+  DESIGN.md \
+  results/analyze_report.json \
+  results/BENCH_memory.json \
+  results/BENCH_serve.json \
+  results/BENCH_simpoint.json \
+  results/BENCH_throughput.json \
+  results/simpoint_validation.txt \
+  results/storage_bits.json \
+  ibpbench/golden.json > /dev/null
+
 echo "== static analysis (ibp-analyze --deny, L001-L010) =="
 # One denied run producing the machine-readable report, a second run
 # proving the report is byte-deterministic, the schema/threshold gate
@@ -23,6 +38,8 @@ echo "== static analysis (ibp-analyze --deny, L001-L010) =="
 # workspace) must stay under 10 seconds or it is too slow for CI.
 analyze_dir=$(mktemp -d)
 trap 'rm -rf "$analyze_dir"' EXIT
+# Build first so the clock below times the pass, not a cold compile.
+cargo build -q --release --offline -p ibp-analyze
 analyze_t0=$(date +%s)
 cargo run -q --release --offline -p ibp-analyze -- --deny --json "$analyze_dir/a.json"
 cargo run -q --release --offline -p ibp-analyze -- --json "$analyze_dir/b.json"
@@ -42,6 +59,15 @@ cargo build --release --offline
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
 
+echo "== benchmark unit tests (ibpbench) =="
+# ibpbench is a package of its own that builds against the workspace
+# crates by path, so this also proves their public APIs still serve it.
+cargo test -q --offline --manifest-path ibpbench/Cargo.toml
+
+echo "== benchmark smoke (all four workloads at 1/20 size) =="
+# Every workload must run clean and reproduce its golden digest.
+bash ibpbench/run.sh --smoke
+
 echo "== throughput bench (quick) + report validation =="
 # One cheap rep at a tiny trace scale: this gates that the bench runs,
 # emits a report, and the report passes its own --check validator — not
@@ -52,6 +78,9 @@ IBP_BENCH_DIR="$bench_dir" IBP_BENCH_REPS=1 IBP_BENCH_MIN_MS=1 IBP_BENCH_SCALE=0
   cargo bench -q --offline -p ibp-bench --bench throughput
 cargo bench -q --offline -p ibp-bench --bench throughput -- \
   --check "$bench_dir/BENCH_throughput.json"
+# Bench binaries run from the package directory: pass absolute paths.
+cargo bench -q --offline -p ibp-bench --bench throughput -- \
+  --check "$PWD/results/BENCH_throughput.json"
 
 echo "== multi-tenant memory differential (delta ≡ private, snapshot round-trip) =="
 # The memory plane's two correctness walls, run by name so a failure is
