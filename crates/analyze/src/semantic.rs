@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{CallGraph, FnNode};
 use crate::lexer::{Token, TokenKind};
 use crate::parser::FnItem;
 use crate::rules::RuleId;
@@ -115,7 +115,6 @@ pub struct SemanticReport {
 /// free fn or method with that exact name (any impl), in that crate.
 const L007_ROOTS: &[(Option<&str>, &str)] = &[
     (Some("sim"), "simulate"),
-    (Some("sim"), "simulate_probed"),
     (Some("sim"), "simulate_stream"),
     (Some("sim"), "simulate_stream_probed"),
     (Some("sim"), "simulate_window"),
@@ -137,8 +136,8 @@ const L008_ROOTS: &[(Option<&str>, &str)] = &[
 const L009_ROOTS: &[(Option<&str>, &str)] = &[(Some("serve"), "shard_loop")];
 
 /// Runs all four semantic rules. `design` is the `(path, text)` of
-/// DESIGN.md when present; without it the §11 cross-checks are skipped
-/// (fixture workspaces).
+/// DESIGN.md when present; without it the §11 cross-checks and the
+/// unbound-root check are skipped (fixture workspaces).
 pub fn run(
     files: &[SemFile<'_>],
     graph: &CallGraph,
@@ -154,6 +153,9 @@ pub fn run(
         (RuleId::NonBlocking, L009_ROOTS),
     ] {
         let info = run_reach_rule(rule, roots, graph, &by_path, &mut findings);
+        if let Some(design) = design {
+            unbound_roots(rule, roots, graph, design, &mut findings);
+        }
         reach_infos.push((rule, info));
     }
     let wire = run_wire_rule(files, design, &mut findings);
@@ -161,6 +163,49 @@ pub fn run(
         findings,
         reach: reach_infos,
         wire,
+    }
+}
+
+/// A root binds to a graph node with its name, in its crate if it names
+/// one.
+fn binds(root: &(Option<&str>, &str), node: &FnNode) -> bool {
+    let (krate, name) = root;
+    node.name == *name && krate.is_none_or(|k| node.crate_name == k)
+}
+
+/// Reports every root of `rule` that binds to no fn in the graph. Such a
+/// root certifies nothing, so a deleted or renamed root fn would
+/// otherwise shrink the proof silently. The finding sits on the rule's
+/// row in DESIGN.md, which has no marker channel: it stays open until
+/// the root list or the code moves.
+fn unbound_roots(
+    rule: RuleId,
+    roots: &[(Option<&str>, &str)],
+    graph: &CallGraph,
+    (design_path, design_text): (&str, &str),
+    findings: &mut Vec<Finding>,
+) {
+    let row = format!("**{}**", rule.code());
+    let line = design_text
+        .lines()
+        .position(|l| l.contains(&row))
+        .map_or(1, |i| i as u32 + 1);
+    for root in roots {
+        if graph.nodes.iter().any(|n| binds(root, n)) {
+            continue;
+        }
+        let (krate, name) = root;
+        let key = krate.map_or_else(|| name.to_string(), |k| format!("{k}::{name}"));
+        findings.push(Finding {
+            diag: Diagnostic {
+                path: design_path.to_string(),
+                line,
+                col: 1,
+                rule,
+                message: format!("certified root `{key}` binds to no fn in the workspace"),
+            },
+            fn_line: None,
+        });
     }
 }
 
@@ -176,11 +221,7 @@ fn run_reach_rule(
         .nodes
         .iter()
         .enumerate()
-        .filter(|(_, n)| {
-            roots
-                .iter()
-                .any(|(k, name)| n.name == *name && k.is_none_or(|k| n.crate_name == k))
-        })
+        .filter(|(_, n)| roots.iter().any(|root| binds(root, n)))
         .map(|(i, _)| i as u32)
         .collect();
     let reached = graph.reach(&root_ids);

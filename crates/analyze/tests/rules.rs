@@ -265,7 +265,7 @@ fn l003_and_l004_cover_the_simpoint_module() {
     // The phase-sampling estimator (DESIGN.md §13) lives in `sim` — a
     // crate whose offline harness may assert — but the module itself is
     // on the per-event path of every sampled sweep and its output is
-    // pinned (suite_pins, BENCH_simpoint.json), so L004 holds it to the
+    // pinned (suite_pins, simpoint_validation.txt), so L004 holds it to the
     // hot-path bar via PANIC_FREE_MODULES. Module scope is matched by
     // path suffix, so these fixtures lint at the real module path
     // instead of the `lint()` helper's fixture.rs.

@@ -251,6 +251,70 @@ fn l009_suppressed_by_fn_level_marker() {
     assert_eq!(suppressed_of(&a, RuleId::NonBlocking), 1);
 }
 
+// ------------------------------------------- L007–L009: unbound roots
+
+/// A design doc naming the three reachability rules, one table row each.
+const DESIGN_ROWS: &str = "\
+# Design
+| rule | scope |
+| **L007** panic-freedom | the simulate entry points |
+| **L008** allocation-freedom | the per-event loops |
+| **L009** non-blocking | the reactor |
+";
+
+/// A workspace in which every certified root of L007–L009 binds.
+fn every_root_bound() -> Vec<(&'static str, String)> {
+    vec![
+        ("DESIGN.md", DESIGN_ROWS.to_string()),
+        (
+            "crates/sim/src/lib.rs",
+            "pub fn simulate(x: u8) -> u8 { simulate_stream(x) }\n\
+             pub fn simulate_stream(x: u8) -> u8 { simulate_stream_probed(x) }\n\
+             pub fn simulate_stream_probed(x: u8) -> u8 { x }\n\
+             pub fn simulate_window(x: u8) -> u8 { x }\n\
+             pub fn step_counted(x: u8) -> u8 { x }\n\
+             pub fn step_verbose(x: u8) -> u8 { x }\n"
+                .to_string(),
+        ),
+        ("crates/serve/src/lib.rs", "pub fn shard_loop() {}\n".to_string()),
+        (
+            "crates/predictors/src/lib.rs",
+            "pub fn ittage64_predict(x: u8) -> u8 { x }\n\
+             pub fn ittage64_update(x: u8) -> u8 { x }\n"
+                .to_string(),
+        ),
+    ]
+}
+
+fn run_owned(files: &[(&'static str, String)]) -> Analysis {
+    let borrowed: Vec<(&str, &str)> = files.iter().map(|(p, s)| (*p, s.as_str())).collect();
+    run(&borrowed)
+}
+
+#[test]
+fn unbound_root_is_an_open_finding_of_its_rule() {
+    // Rename one root that both L007 and L008 certify: the proof must not
+    // shrink silently.
+    let mut files = every_root_bound();
+    files[1].1 = files[1].1.replace("simulate_stream_probed", "simulate_stream_traced");
+    let a = run_owned(&files);
+    for (rule, row) in [(RuleId::PanicFreedom, 3), (RuleId::AllocFreedom, 4)] {
+        let open = open_of(&a, rule);
+        assert_eq!(open.len(), 1, "want one {rule:?} finding, got {open:?}");
+        assert!(open[0].contains("`sim::simulate_stream_probed`"), "{open:?}");
+        assert!(open[0].starts_with(&format!("DESIGN.md:{row}:")), "{open:?}");
+    }
+    assert!(open_of(&a, RuleId::NonBlocking).is_empty());
+}
+
+#[test]
+fn every_root_bound_is_clean() {
+    let a = run_owned(&every_root_bound());
+    for rule in [RuleId::PanicFreedom, RuleId::AllocFreedom, RuleId::NonBlocking] {
+        assert!(open_of(&a, rule).is_empty(), "{rule:?}: {:?}", open_of(&a, rule));
+    }
+}
+
 // ---------------------------------------------------------------- L010
 
 /// A protocol surface where `FLUSH` has no decode arm and no test.

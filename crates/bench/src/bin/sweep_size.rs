@@ -124,7 +124,7 @@ fn main() {
             let trace = &traces[i % traces.len()];
             match sized[slot] {
                 Some(entries) => kind
-                    .simulate_with_entries(entries, trace)
+                    .simulate_events(entries, trace.iter().copied())
                     .misprediction_ratio(),
                 None => f64::NAN,
             }
@@ -142,7 +142,7 @@ fn main() {
         let kind = kinds[i / (budgets.len() * traces.len())];
         let budget = budgets[(i / traces.len()) % budgets.len()];
         let trace = &traces[i % traces.len()];
-        kind.simulate_with_entries(budget, trace)
+        kind.simulate_events(budget, trace.iter().copied())
             .misprediction_ratio()
     });
 

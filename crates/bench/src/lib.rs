@@ -1,13 +1,10 @@
 //! Experiment harness support for the paper's tables and figures.
 //!
 //! The real content of this crate lives in its binaries (`src/bin/*.rs`),
-//! one per table/figure, and its `harness = false` benches (`benches/`),
-//! which are driven by the in-tree [`harness`] module. This library
-//! also holds the shared formatting helpers.
-
-pub mod harness;
-
-pub use harness::{Harness, Measurement, Throughput};
+//! one per table/figure, and its one `harness = false` bench
+//! (`benches/probe_overhead.rs`, the NullProbe zero-cost gate). Speed
+//! is measured by `ibpbench`, outside this crate. This library holds the
+//! shared formatting helpers.
 
 /// Formats a ratio as a percentage with two decimals, e.g. `9.47%`.
 pub fn pct(x: f64) -> String {

@@ -27,5 +27,5 @@ pub mod pool;
 pub mod shard;
 
 pub use map::{FastHash, FastMap};
-pub use pool::{thread_count, Executor, PoolStats, WorkerStats};
+pub use pool::{thread_count, Executor, PoolStats};
 pub use shard::{ShardPool, ShardStats};

@@ -14,7 +14,6 @@
 //! `crates/sim/tests/determinism.rs` pins this property over randomized
 //! workloads at pool sizes 1, 2 and 8.
 
-use ibp_metrics::Log2Histogram;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -84,10 +83,43 @@ impl Executor {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
+        self.run_logged::<R, F, ()>(tasks, f).0
+    }
+
+    /// [`Executor::run`] that also reports how many tasks ran and the
+    /// wall time spent inside them, summed over workers. Timing wraps
+    /// each task *outside* the caller's closure, so the results are
+    /// bit-identical to [`Executor::run`]; only the stats vary run to
+    /// run. Use `run` on hot paths — this variant pays two `Instant`
+    /// reads per task. ibpbench's traced runs read it for their
+    /// `exec.busy_s`, `exec.idle_s` and `exec.tasks` layer.
+    ///
+    /// # Panics
+    ///
+    /// As [`Executor::run`].
+    pub fn run_reporting<R, F>(&self, tasks: usize, f: F) -> (Vec<R>, PoolStats)
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        self.run_logged(tasks, f)
+    }
+
+    /// The one spawn-and-commit body behind [`Executor::run`] and
+    /// [`Executor::run_reporting`]: each worker keeps its own `L` and
+    /// the logs are merged once all workers have joined.
+    fn run_logged<R, F, L>(&self, tasks: usize, f: F) -> (Vec<R>, L)
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+        L: TaskLog,
+    {
         assert!(tasks <= u32::MAX as usize, "task space exceeds u32 range");
         let workers = self.threads.min(tasks);
         if workers <= 1 {
-            return (0..tasks).map(f).collect();
+            let mut log = L::default();
+            let out = (0..tasks).map(|i| log.task(|| f(i))).collect();
+            return (out, log);
         }
 
         // One contiguous chunk of the index space per worker.
@@ -100,73 +132,7 @@ impl Executor {
             .collect();
         let done = AtomicUsize::new(0);
 
-        let mut per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let deques = &deques;
-                    let done = &done;
-                    let f = &f;
-                    scope.spawn(move || worker_loop(w, deques, done, tasks, |i| f(i)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("pool workers do not panic"))
-                .collect()
-        });
-
-        // Commit in task order: slot i receives task i's result, whatever
-        // worker ran it — parallel output is bit-identical to serial.
-        let mut slots: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
-        for pairs in per_worker.drain(..) {
-            for (i, r) in pairs {
-                debug_assert!(slots[i].is_none(), "task {i} ran twice");
-                slots[i] = Some(r);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every task ran exactly once"))
-            .collect()
-    }
-
-    /// [`Executor::run`] with per-worker timing attached: returns the
-    /// same index-ordered results plus a [`PoolStats`] describing how the
-    /// pool spent its time (task counts, busy nanoseconds and a log2
-    /// histogram of task durations per worker).
-    ///
-    /// Timing wraps each task *outside* the caller's closure, so the
-    /// results are still bit-identical to [`Executor::run`]; only the
-    /// stats themselves vary run to run. Use `run` on hot paths that do
-    /// not need the report — this variant pays two `Instant` reads per
-    /// task.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `f`; panics if `tasks` exceeds `u32::MAX`.
-    pub fn run_reporting<R, F>(&self, tasks: usize, f: F) -> (Vec<R>, PoolStats)
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        assert!(tasks <= u32::MAX as usize, "task space exceeds u32 range");
-        let workers = self.threads.min(tasks);
-        if workers <= 1 {
-            let mut stats = WorkerStats::new();
-            let out = (0..tasks).map(|i| stats.time(|| f(i))).collect();
-            return (out, PoolStats::from_workers(vec![stats]));
-        }
-
-        let deques: Vec<RangeDeque> = (0..workers)
-            .map(|w| {
-                let start = w * tasks / workers;
-                let end = (w + 1) * tasks / workers;
-                RangeDeque::new(start, end)
-            })
-            .collect();
-        let done = AtomicUsize::new(0);
-
-        let (mut per_worker, worker_stats): (Vec<Vec<(usize, R)>>, Vec<WorkerStats>) =
+        let (mut per_worker, logs): (Vec<Vec<(usize, R)>>, Vec<L>) =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
@@ -174,10 +140,9 @@ impl Executor {
                         let done = &done;
                         let f = &f;
                         scope.spawn(move || {
-                            let mut stats = WorkerStats::new();
-                            let out =
-                                worker_loop(w, deques, done, tasks, |i| stats.time(|| f(i)));
-                            (out, stats)
+                            let mut log = L::default();
+                            let out = worker_loop(w, deques, done, tasks, |i| log.task(|| f(i)));
+                            (out, log)
                         })
                     })
                     .collect();
@@ -187,6 +152,8 @@ impl Executor {
                     .unzip()
             });
 
+        // Commit in task order: slot i receives task i's result, whatever
+        // worker ran it — parallel output is bit-identical to serial.
         let mut slots: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
         for pairs in per_worker.drain(..) {
             for (i, r) in pairs {
@@ -198,7 +165,7 @@ impl Executor {
             .into_iter()
             .map(|s| s.expect("every task ran exactly once"))
             .collect();
-        (out, PoolStats::from_workers(worker_stats))
+        (out, logs.into_iter().fold(L::default(), L::merge))
     }
 
     /// Maps `f` over a slice, in parallel, returning results in item
@@ -245,94 +212,60 @@ fn worker_loop<R>(
     }
 }
 
-/// What one pool worker did during a [`Executor::run_reporting`] call.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerStats {
+/// What a worker records about the tasks it runs: nothing for
+/// [`Executor::run`], [`PoolStats`] for [`Executor::run_reporting`].
+trait TaskLog: Default + Send {
+    /// Runs one task, recording it.
+    fn task<R>(&mut self, f: impl FnOnce() -> R) -> R;
+    /// Combines two workers' logs.
+    fn merge(self, other: Self) -> Self;
+}
+
+impl TaskLog for () {
+    #[inline(always)]
+    fn task<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+
+    fn merge(self, _: Self) -> Self {}
+}
+
+/// Task count and busy wall time of one [`Executor::run_reporting`]
+/// call, summed over its workers.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PoolStats {
     tasks: u64,
     busy_ns: u64,
-    task_ns: Log2Histogram,
 }
 
-impl Default for WorkerStats {
-    fn default() -> Self {
-        Self::new()
+impl PoolStats {
+    /// Tasks executed across all workers.
+    pub fn total_tasks(&self) -> u64 {
+        self.tasks
+    }
+
+    /// Wall nanoseconds spent inside task closures, summed across
+    /// workers.
+    pub fn total_busy_ns(&self) -> u64 {
+        self.busy_ns
     }
 }
 
-impl WorkerStats {
-    /// Fresh, all-zero stats.
-    pub fn new() -> Self {
-        Self {
-            tasks: 0,
-            busy_ns: 0,
-            task_ns: Log2Histogram::new(),
-        }
-    }
-
-    /// Runs `f`, charging its wall time to this worker.
-    fn time<R>(&mut self, f: impl FnOnce() -> R) -> R {
+impl TaskLog for PoolStats {
+    fn task<R>(&mut self, f: impl FnOnce() -> R) -> R {
         let start = Instant::now();
         let r = f();
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.tasks += 1;
         self.busy_ns = self.busy_ns.saturating_add(ns);
-        self.task_ns.record(ns);
         r
     }
 
-    /// Tasks this worker executed.
-    pub fn tasks(&self) -> u64 {
-        self.tasks
-    }
-
-    /// Total wall nanoseconds spent inside task closures.
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
-    /// Log2 histogram of per-task wall nanoseconds.
-    pub fn task_ns(&self) -> &Log2Histogram {
-        &self.task_ns
-    }
-}
-
-/// Per-worker timing for one [`Executor::run_reporting`] call.
-///
-/// Workers are indexed by spawn order (worker 0 first), so the report
-/// shape is stable for a given pool size even though the numbers vary
-/// run to run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    workers: Vec<WorkerStats>,
-}
-
-impl PoolStats {
-    fn from_workers(workers: Vec<WorkerStats>) -> Self {
-        Self { workers }
-    }
-
-    /// Per-worker stats, in spawn order.
-    pub fn workers(&self) -> &[WorkerStats] {
-        &self.workers
-    }
-
-    /// Tasks executed across all workers.
-    pub fn total_tasks(&self) -> u64 {
-        self.workers.iter().map(WorkerStats::tasks).sum()
-    }
-
-    /// Busy nanoseconds summed across workers.
-    pub fn total_busy_ns(&self) -> u64 {
-        self.workers.iter().map(|w| w.busy_ns).sum()
-    }
-
-    /// All workers' task-duration histograms merged into one.
-    pub fn merged_task_ns(&self) -> Log2Histogram {
-        let mut merged = Log2Histogram::new();
-        for w in &self.workers {
-            merged.merge(&w.task_ns);
+    fn merge(self, other: Self) -> Self {
+        PoolStats {
+            tasks: self.tasks + other.tasks,
+            busy_ns: self.busy_ns.saturating_add(other.busy_ns),
         }
-        merged
     }
 }
 
@@ -484,11 +417,6 @@ mod tests {
             let (reported, stats) = exec.run_reporting(33, |i| i * i);
             assert_eq!(plain, reported, "{threads} threads");
             assert_eq!(stats.total_tasks(), 33);
-            assert_eq!(stats.workers().len(), threads.min(33));
-            assert_eq!(stats.merged_task_ns().count(), 33);
-            let per_worker: u64 = stats.workers().iter().map(|w| w.tasks()).sum();
-            assert_eq!(per_worker, 33);
-            assert!(stats.total_busy_ns() >= stats.workers()[0].busy_ns());
         }
     }
 
@@ -496,8 +424,7 @@ mod tests {
     fn run_reporting_empty_workload() {
         let (out, stats) = Executor::new(4).run_reporting(0, |i| i);
         assert!(out.is_empty());
-        assert_eq!(stats.total_tasks(), 0);
-        assert!(stats.merged_task_ns().is_empty());
+        assert_eq!(stats, PoolStats::default());
     }
 
     #[test]

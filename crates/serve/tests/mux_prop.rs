@@ -222,7 +222,7 @@ fn interleaving_never_changes_any_streams_result() {
                 let trace: ibp_trace::Trace =
                     batches.iter().flatten().copied().collect();
                 let offline =
-                    PredictorKind::Btb.simulate_with_entries(ENTRIES as usize, &trace);
+                    PredictorKind::Btb.simulate_events(ENTRIES as usize, trace.iter().copied());
                 let Some(ServerFrame::MuxClosed {
                     events,
                     predictions,

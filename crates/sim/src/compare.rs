@@ -143,29 +143,17 @@ pub fn compare_grid(kinds: &[PredictorKind], runs: &[BenchmarkRun], scale: f64) 
 /// then every (run, predictor) pair becomes one task on the pool — a slow
 /// predictor occupies one worker while the rest of the product proceeds.
 /// Each task monomorphizes its simulation loop via
-/// [`PredictorKind::simulate_trace`]. Cells are committed in row-major
-/// (run, then predictor) grid order, so the result is bit-identical to a
-/// serial evaluation for any worker count.
+/// [`PredictorKind::simulate_events`] at the 2K-entry design point. Cells
+/// are committed in row-major (run, then predictor) grid order, so the
+/// result is bit-identical to a serial evaluation for any worker count.
 pub fn compare_grid_with(
     exec: &Executor,
     kinds: &[PredictorKind],
     runs: &[BenchmarkRun],
     scale: f64,
 ) -> GridResult {
-    let predictors: Vec<String> = kinds.iter().map(|k| k.label()).collect();
-    let run_labels: Vec<String> = runs.iter().map(|r| r.label()).collect();
-    let traces: Vec<Trace> = exec.map(runs, |_, run| generate_trace(run, scale));
-    let cells = exec.run(runs.len() * kinds.len(), |i| {
-        let (run_idx, kind_idx) = (i / kinds.len(), i % kinds.len());
-        let result: RunResult = kinds[kind_idx].simulate_trace(&traces[run_idx]);
-        GridCell {
-            run: run_labels[run_idx].clone(),
-            predictor: result.predictor().to_string(),
-            ratio: result.misprediction_ratio(),
-            predictions: result.predictions(),
-        }
-    });
-    GridResult::from_parts(predictors, run_labels, cells)
+    let sized: Vec<(PredictorKind, usize)> = kinds.iter().map(|&k| (k, 2048)).collect();
+    grid_at_entries(exec, &sized, runs, scale)
 }
 
 /// [`compare_grid_with`] at an equal-bits budget: every kind is resized
@@ -185,13 +173,25 @@ pub fn compare_grid_at_bits(
         .iter()
         .filter_map(|&k| k.entries_for_budget(budget_bits).map(|e| (k, e)))
         .collect();
+    grid_at_entries(exec, &sized, runs, scale)
+}
+
+/// The cell loop both grids share: every `(kind, entries)` pair over
+/// every run, one [`PredictorKind::simulate_events`] task per cell,
+/// committed in row-major (run, then predictor) order.
+fn grid_at_entries(
+    exec: &Executor,
+    sized: &[(PredictorKind, usize)],
+    runs: &[BenchmarkRun],
+    scale: f64,
+) -> GridResult {
     let predictors: Vec<String> = sized.iter().map(|(k, _)| k.label()).collect();
     let run_labels: Vec<String> = runs.iter().map(|r| r.label()).collect();
     let traces: Vec<Trace> = exec.map(runs, |_, run| generate_trace(run, scale));
     let cells = exec.run(runs.len() * sized.len(), |i| {
         let (run_idx, kind_idx) = (i / sized.len(), i % sized.len());
         let (kind, entries) = sized[kind_idx];
-        let result: RunResult = kind.simulate_with_entries(entries, &traces[run_idx]);
+        let result: RunResult = kind.simulate_events(entries, traces[run_idx].iter().copied());
         GridCell {
             run: run_labels[run_idx].clone(),
             predictor: result.predictor().to_string(),

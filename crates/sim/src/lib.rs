@@ -44,9 +44,7 @@ pub use metrics::{
     metrics_grid, metrics_grid_with, metrics_to_json, predictor_snapshot, MetricsCell,
     MetricsGrid, METRICS_SCHEMA_VERSION,
 };
-pub use runner::{
-    ras_accuracy, simulate, simulate_probed, simulate_stream, simulate_stream_probed, RunResult,
-};
+pub use runner::{ras_accuracy, simulate, simulate_stream, simulate_stream_probed, RunResult};
 pub use simpoint::{
     cluster_signatures, signatures_of, simpoint_from_phases, simpoint_grid_with,
     simpoint_snapshot, simpoint_streamed, simpoint_streamed_chained, simpoint_streamed_prepped,

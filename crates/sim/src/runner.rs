@@ -102,23 +102,6 @@ pub fn simulate<P: IndirectPredictor + ?Sized>(predictor: &mut P, trace: &Trace)
     simulate_stream(predictor, trace.iter().copied())
 }
 
-/// [`simulate`] with an observation probe attached.
-///
-/// The loop is monomorphized per probe type: with
-/// [`ibp_metrics::NullProbe`] (what [`simulate`] passes) the probe calls
-/// are empty `#[inline(always)]` bodies that compile away, so the
-/// uninstrumented path pays nothing. Probes only receive values the loop
-/// already computed — they cannot perturb prediction, and the
-/// differential suite (`tests/differential.rs`) checks that instrumented
-/// and uninstrumented grids are byte-identical.
-pub fn simulate_probed<P, Pr>(predictor: &mut P, trace: &Trace, probe: &mut Pr) -> RunResult
-where
-    P: IndirectPredictor + ?Sized,
-    Pr: Probe,
-{
-    simulate_stream_probed(predictor, trace.iter().copied(), probe)
-}
-
 /// Streaming form of [`simulate`]: drives any event iterator through the
 /// predictor without materializing a [`Trace`] — suitable for replaying
 /// trace files larger than memory, one decode window at a time.
@@ -130,8 +113,16 @@ where
     simulate_stream_probed(predictor, events, &mut NullProbe)
 }
 
-/// Streaming form of [`simulate_probed`]; the single loop body every
-/// simulate entry point funnels into.
+/// [`simulate_stream`] with an observation probe attached; the single
+/// loop body every simulate entry point funnels into.
+///
+/// The loop is monomorphized per probe type: with
+/// [`ibp_metrics::NullProbe`] (what [`simulate_stream`] passes) the probe
+/// calls are empty `#[inline(always)]` bodies that compile away, so the
+/// uninstrumented path pays nothing. Probes only receive values the loop
+/// already computed — they cannot perturb prediction, and the
+/// differential suite (`tests/differential.rs`) checks that instrumented
+/// and uninstrumented grids are byte-identical.
 pub fn simulate_stream_probed<P, I, Pr>(predictor: &mut P, events: I, probe: &mut Pr) -> RunResult
 where
     P: IndirectPredictor + ?Sized,

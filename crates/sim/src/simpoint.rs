@@ -26,8 +26,8 @@
 //!   [`Executor`], whose results commit in task order.
 //!
 //! See DESIGN.md §13 for the window/warmup policy and the error-bound
-//! methodology; `simbench --validate` regenerates the committed
-//! weighted-vs-full differential report.
+//! methodology; `simbench` regenerates the committed weighted-vs-full
+//! differential report.
 
 use crate::runner::{simulate_stream, RunResult};
 use crate::zoo::PredictorKind;
@@ -1062,7 +1062,7 @@ mod tests {
         let c = cfg(4, 4096);
         let exec = Executor::new(1);
         let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &c, &exec);
-        let full = PredictorKind::PpmHyb.simulate_with_entries(2048, &trace);
+        let full = PredictorKind::PpmHyb.simulate_events(2048, trace.iter().copied());
         assert_eq!(sampled.phases.clusters.len(), 1);
         assert_eq!(sampled.estimate.predictions, full.predictions());
         assert_eq!(sampled.estimate.mispredictions, full.mispredictions());
@@ -1099,7 +1099,7 @@ mod tests {
         let trace = two_phase_trace();
         let exec = Executor::new(1);
         let run = simpoint_trace(PredictorKind::Btb, 2048, &trace, &cfg(2, 100), &exec);
-        let full = PredictorKind::Btb.simulate_with_entries(2048, &trace);
+        let full = PredictorKind::Btb.simulate_events(2048, trace.iter().copied());
         let snap = simpoint_snapshot(&run, Some(full.misprediction_ratio()));
         assert_eq!(snap.counter("simpoint_windows"), 8);
         assert_eq!(snap.counter("simpoint_clusters"), 2);

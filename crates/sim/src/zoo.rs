@@ -6,7 +6,7 @@
 //! described by a list of kinds.
 
 use crate::metrics::predictor_snapshot;
-use crate::runner::{simulate, simulate_probed, simulate_stream, RunResult};
+use crate::runner::{simulate_stream, simulate_stream_probed, RunResult};
 use ibp_metrics::{MetricsSnapshot, RecordingProbe};
 use ibp_ppm::{PpmHybrid, PpmPib, SelectorKind, StackConfig, TableEncoding};
 use ibp_predictors::{
@@ -26,7 +26,7 @@ pub const MAX_BUILD_ENTRIES: usize = 1 << 20;
 
 /// Dispatches on a [`PredictorKind`] once, binding `$make` in each arm to
 /// a zero-arg constructor of the *concrete* predictor type. Everything in
-/// `$body` — in particular [`simulate`]'s per-event loop — monomorphizes
+/// `$body` — in particular the per-event simulation loop — monomorphizes
 /// per arm, so dynamic dispatch happens once per task instead of three
 /// times per branch event. [`PredictorKind::build_with_entries`] and the
 /// monomorphized simulation paths share these arms, so the configurations
@@ -234,54 +234,24 @@ impl PredictorKind {
         dispatch_kind!(self, entries, make => Box::new(make()))
     }
 
-    /// Simulates `trace` through a fresh §5-budget instance of this
-    /// predictor with the per-event loop monomorphized over the concrete
-    /// predictor type (no virtual dispatch inside the loop).
+    /// Simulates `trace` through a fresh §5-budget (2K-entry) instance of
+    /// this predictor: [`PredictorKind::simulate_events`] over the
+    /// trace's events.
     pub fn simulate_trace(self, trace: &Trace) -> RunResult {
-        self.simulate_with_entries(2048, trace)
-    }
-
-    /// Budget-scaled form of [`PredictorKind::simulate_trace`].
-    ///
-    /// Behaviorally identical to
-    /// `simulate(&mut *self.build_with_entries(entries), trace)` — the
-    /// constructors are shared arm-for-arm — but the predict/update/observe
-    /// calls compile to static dispatch, which is where the hot loop spends
-    /// its time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries < 64` (degenerate configurations).
-    pub fn simulate_with_entries(self, entries: usize, trace: &Trace) -> RunResult {
-        dispatch_kind!(self, entries, make => {
-            let mut p = make();
-            simulate(&mut p, trace)
-        })
+        self.simulate_events(2048, trace.iter().copied())
     }
 
     /// [`PredictorKind::simulate_trace`] with a recording probe attached:
     /// returns the (identical) run result plus a snapshot combining the
     /// probe's stream metrics with the predictor's internal telemetry.
+    /// The probed loop is monomorphized per concrete predictor, exactly
+    /// like the uninstrumented path.
     pub fn simulate_trace_metrics(self, trace: &Trace) -> (RunResult, MetricsSnapshot) {
-        self.simulate_with_entries_metrics(2048, trace)
-    }
-
-    /// Budget-scaled form of [`PredictorKind::simulate_trace_metrics`].
-    /// Monomorphizes the probed loop per concrete predictor, exactly like
-    /// the uninstrumented path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries < 64` (degenerate configurations).
-    pub fn simulate_with_entries_metrics(
-        self,
-        entries: usize,
-        trace: &Trace,
-    ) -> (RunResult, MetricsSnapshot) {
+        let entries = 2048;
         dispatch_kind!(self, entries, make => {
             let mut p = make();
             let mut probe = RecordingProbe::new();
-            let result = simulate_probed(&mut p, trace, &mut probe);
+            let result = simulate_stream_probed(&mut p, trace.iter().copied(), &mut probe);
             let mut snapshot = probe.snapshot();
             snapshot.merge(&predictor_snapshot(&p));
             (result, snapshot)
@@ -289,8 +259,16 @@ impl PredictorKind {
     }
 
     /// Streams any event iterator through a fresh budget-scaled instance
-    /// with the loop monomorphized — the full-run path for workloads too
-    /// large to materialize (pair with
+    /// with approximately `entries` total table entries (the A1 sweep;
+    /// the paper's design point is 2048).
+    ///
+    /// Behaviorally identical to
+    /// `simulate(&mut *self.build_with_entries(entries), ..)` — the
+    /// constructors are shared arm-for-arm — but the loop is
+    /// monomorphized over the concrete predictor, so the
+    /// predict/update/observe calls compile to static dispatch, which is
+    /// where the hot loop spends its time. Also the full-run path for
+    /// workloads too large to materialize (pair with
     /// [`ModelStream::events`](ibp_workloads::ModelStream::events)).
     ///
     /// # Panics
@@ -331,28 +309,11 @@ impl PredictorKind {
         })
     }
 
-    /// Simulates every trace in `traces` through fresh instances of this
-    /// predictor, monomorphizing the whole batch under a single dispatch.
-    ///
-    /// This is the task-boundary entry point the sweep engine uses: one
-    /// virtual-free inner loop per (kind, budget), dyn dispatch only here.
-    pub fn simulate_batch(self, entries: usize, traces: &[&Trace]) -> Vec<RunResult> {
-        dispatch_kind!(self, entries, make => {
-            traces
-                .iter()
-                .map(|trace| {
-                    let mut p = make();
-                    simulate(&mut p, trace)
-                })
-                .collect()
-        })
-    }
-
     /// Builds a batched session stepper for the serving layer: the
     /// per-event loop inside is monomorphized over the concrete
     /// predictor type (these same arms), so a resident stream pays one
     /// virtual call per *batch* instead of three per event. The stepping
-    /// protocol is exactly [`simulate`]'s — see
+    /// protocol is exactly [`simulate`](crate::runner::simulate)'s — see
     /// [`SessionStepper`](crate::stepper::SessionStepper).
     ///
     /// # Panics
@@ -456,8 +417,8 @@ impl PredictorKind {
         }
     }
 
-    /// The lowercase command-line token for this kind (what `loadgen
-    /// --predictor` accepts). `OraclePib(d)` renders as `oracle-pib:d`.
+    /// The lowercase command-line token for this kind (what `runpredict`
+    /// accepts). `OraclePib(d)` renders as `oracle-pib:d`.
     pub fn cli_name(self) -> String {
         match self {
             PredictorKind::Btb => "btb".to_string(),
@@ -553,6 +514,7 @@ impl PredictorKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::simulate;
 
     #[test]
     fn figure_lineups() {
@@ -700,50 +662,48 @@ mod tests {
     #[test]
     #[should_panic(expected = "budget too small")]
     fn tiny_budget_panics_when_simulating() {
-        let _ = PredictorKind::Btb.simulate_with_entries(32, &Trace::new());
+        let _ = PredictorKind::Btb.simulate_events(32, Trace::new().iter().copied());
     }
 
     #[test]
     fn metrics_simulation_matches_uninstrumented() {
         let trace = ibp_workloads::paper_suite()[0].generate_scaled(0.02);
-        for kind in [
-            PredictorKind::Btb,
-            PredictorKind::Cascade,
-            PredictorKind::PpmHyb,
-        ] {
-            let plain = kind.simulate_trace(&trace);
+        for kind in PredictorKind::serve_lineup() {
+            let dynamic = simulate(&mut *kind.build(), &trace);
             let (probed, snap) = kind.simulate_trace_metrics(&trace);
-            assert_eq!(plain, probed, "{kind:?}: probe changed the result");
-            assert_eq!(snap.counter("sim_predictions"), plain.predictions());
-            assert_eq!(snap.counter("sim_mispredictions"), plain.mispredictions());
+            assert_eq!(dynamic, probed, "{kind:?}: probe changed the result");
+            assert_eq!(snap.counter("sim_predictions"), dynamic.predictions(), "{kind:?}");
+            assert_eq!(
+                snap.counter("sim_mispredictions"),
+                dynamic.mispredictions(),
+                "{kind:?}"
+            );
         }
     }
 
     #[test]
     fn monomorphized_simulation_matches_dyn_dispatch() {
         let trace = ibp_workloads::paper_suite()[0].generate_scaled(0.05);
-        let kinds = [
-            PredictorKind::Btb,
-            PredictorKind::Btb2b,
-            PredictorKind::GAp,
-            PredictorKind::TcPib,
-            PredictorKind::TcPb,
-            PredictorKind::Dpath,
-            PredictorKind::Cascade,
-            PredictorKind::PpmHyb,
-            PredictorKind::PpmPib,
-            PredictorKind::PpmHybBiased,
-            PredictorKind::OraclePib(4),
-            PredictorKind::IttageLite,
-            PredictorKind::Ittage64(8),
-        ];
-        for kind in kinds {
+        let events: Vec<BranchEvent> = trace.iter().copied().collect();
+        let (warmup, window) = events.split_at(events.len() / 2);
+        for kind in PredictorKind::serve_lineup() {
             for entries in [512, 2048] {
                 let dynamic = simulate(&mut *kind.build_with_entries(entries), &trace);
-                let mono = kind.simulate_with_entries(entries, &trace);
+                let mono = kind.simulate_events(entries, trace.iter().copied());
                 assert_eq!(dynamic, mono, "{kind:?} @ {entries}");
-                let batch = kind.simulate_batch(entries, &[&trace, &trace]);
-                assert_eq!(batch, vec![mono.clone(), mono], "{kind:?} @ {entries}");
+                if entries == 2048 {
+                    assert_eq!(kind.simulate_trace(&trace), dynamic, "{kind:?}");
+                }
+                let windowed = crate::simpoint::simulate_window(
+                    &mut *kind.build_with_entries(entries),
+                    warmup.iter().copied(),
+                    window.iter().copied(),
+                );
+                assert_eq!(
+                    kind.simulate_simpoint_window(entries, warmup, window),
+                    windowed,
+                    "{kind:?} @ {entries}: window"
+                );
             }
         }
     }

@@ -1,9 +1,8 @@
 //! Golden tests pinning the JSON report schemas byte-for-byte, plus
 //! parse-of-emit identity for `RunResult` and the compare grid.
 //!
-//! If one of the golden strings changes, every consumer of saved
-//! `BENCH_*.json` / report files sees the schema change too — update
-//! them deliberately.
+//! If one of the golden strings changes, every consumer of saved report
+//! files sees the schema change too — update them deliberately.
 
 use ibp_predictors::Btb;
 use ibp_sim::compare::GridCell;

@@ -2,8 +2,8 @@
 //! run in the paper suite, the weighted representative estimate must
 //! track the full simulation within the hard error gate — the same
 //! ≤ 0.5 pp absolute bound the full-scale committed report
-//! (`results/simpoint_validation.txt`, regenerated by `simbench
-//! --validate` under verify.sh) holds. This in-tree copy runs at a
+//! (`results/simpoint_validation.txt`, regenerated by `simbench` under
+//! verify.sh) holds. This in-tree copy runs at a
 //! reduced trace scale with a proportionally smaller window so the
 //! whole 15-run differential stays fast in debug builds; the estimator
 //! configuration scales with it (same cluster count and stratification,
@@ -33,7 +33,7 @@ fn weighted_estimate_tracks_full_run_on_every_suite_run() {
     let mut worst_run = String::new();
     for run in paper_suite() {
         let trace = run.generate_scaled(SCALE);
-        let full = PredictorKind::PpmHyb.simulate_with_entries(2048, &trace);
+        let full = PredictorKind::PpmHyb.simulate_events(2048, trace.iter().copied());
         let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &cfg, &exec);
         let err =
             (sampled.estimate.misprediction_ratio() - full.misprediction_ratio()).abs() * 100.0;

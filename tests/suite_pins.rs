@@ -71,7 +71,7 @@ fn suite_traces_match_their_pins() {
 /// warmup policy, weighted merge — so any drift in the estimator fails
 /// here like any other golden (see DESIGN.md §13). If a change is
 /// *intentional*, re-derive these numbers and regenerate
-/// `results/simpoint_validation.txt` and `results/BENCH_simpoint.json`.
+/// `results/simpoint_validation.txt` (`simbench`).
 #[test]
 fn gs_tig_full_vs_sampled_ppm_matches_its_pins() {
     let run = paper_suite()
@@ -81,7 +81,7 @@ fn gs_tig_full_vs_sampled_ppm_matches_its_pins() {
     let trace = run.generate_scaled(0.2);
     assert_eq!(trace.len(), 83_300, "gs.tig stream drifted");
 
-    let full = PredictorKind::PpmHyb.simulate_with_entries(2048, &trace);
+    let full = PredictorKind::PpmHyb.simulate_events(2048, trace.iter().copied());
     assert_eq!(
         (full.predictions(), full.mispredictions()),
         (51_100, 4_358),
