@@ -8,11 +8,11 @@
 //! PIB-biased state machine of Figure 5. Because the BIU must be consulted
 //! before the Markov tables, this is a *2-level* predictor.
 
-use crate::biu::{Biu, BiuId};
+use crate::biu::{Biu, BiuEntry, BiuId};
 use crate::selector::{CorrelationMode, SelectorKind};
-use crate::stack::{IndexScheme, MarkovStack, StackConfig, StackLookup};
+use crate::stack::{MarkovStack, StackConfig, StackLookup};
 use crate::stats::OrderStats;
-use ibp_hw::{HardwareCost, PathHistory, Persist};
+use ibp_hw::{HardwareCost, Persist, SfsxsRegister};
 use ibp_isa::{Addr, TargetArity};
 use ibp_predictors::{HistoryGroup, IndirectPredictor};
 use ibp_trace::BranchEvent;
@@ -33,14 +33,10 @@ use ibp_trace::BranchEvent;
 #[derive(Debug, Clone)]
 pub struct PpmHybrid {
     stack: MarkovStack,
-    pb_phr: PathHistory,
-    pib_phr: PathHistory,
-    /// Incrementally-maintained SFSXS signatures of the two PHRs
-    /// (invariant: `pb_sig == sfsxs.signature(&pb_phr)`, same for PIB).
-    /// Advancing them O(1) per recorded target replaces the O(depth)
-    /// signature scan on every prediction.
-    pb_sig: u64,
-    pib_sig: u64,
+    /// The two PHRs, each keeping its SFSXS signature current as targets
+    /// shift in, so a prediction never rescans a history.
+    pb_phr: SfsxsRegister,
+    pib_phr: SfsxsRegister,
     biu: Biu,
     stats: OrderStats,
     selector_kind: SelectorKind,
@@ -60,17 +56,14 @@ pub struct PpmHybrid {
 impl PpmHybrid {
     /// Creates a hybrid PPM from a stack configuration and selector kind.
     pub fn new(config: StackConfig, selector_kind: SelectorKind) -> Self {
-        let pb_phr = PathHistory::new(config.phr_depth(), config.select_bits as u8);
-        let pib_phr = PathHistory::new(config.phr_depth(), config.select_bits as u8);
-        let max_order = config.max_order;
+        let stack = MarkovStack::new(config);
+        let phr = SfsxsRegister::new(*stack.sfsxs());
         Self {
-            stack: MarkovStack::new(config),
-            pb_phr,
-            pib_phr,
-            pb_sig: 0,
-            pib_sig: 0,
+            stack,
+            pb_phr: phr.clone(),
+            pib_phr: phr,
             biu: Biu::unbounded(selector_kind),
-            stats: OrderStats::new(max_order),
+            stats: OrderStats::new(config.max_order),
             selector_kind,
             last: None,
             pb_predictions: 0,
@@ -124,23 +117,12 @@ impl PpmHybrid {
         (self.selector_transitions, self.mode_flips)
     }
 
-    fn phr_for(&self, mode: CorrelationMode) -> &PathHistory {
-        match mode {
+    fn lookup_for(&self, mode: CorrelationMode, pc: Addr) -> StackLookup {
+        let phr = match mode {
             CorrelationMode::Pb => &self.pb_phr,
             CorrelationMode::Pib => &self.pib_phr,
-        }
-    }
-
-    fn lookup_for(&self, mode: CorrelationMode, pc: Addr) -> StackLookup {
-        if self.stack.config().index_scheme == IndexScheme::Sfsxs {
-            let sig = match mode {
-                CorrelationMode::Pb => self.pb_sig,
-                CorrelationMode::Pib => self.pib_sig,
-            };
-            self.stack.lookup_with_signature(sig, pc)
-        } else {
-            self.stack.lookup(self.phr_for(mode), pc)
-        }
+        };
+        self.stack.lookup(phr, pc)
     }
 }
 
@@ -152,6 +134,7 @@ impl IndirectPredictor for PpmHybrid {
         }
     }
 
+    #[inline]
     fn predict(&mut self, pc: Addr) -> Option<Addr> {
         // Single BIU probe per event: resolve the entry to a stable
         // handle here and hand the handle to `update`, which revalidates
@@ -168,6 +151,7 @@ impl IndirectPredictor for PpmHybrid {
         prediction
     }
 
+    #[inline]
     fn update(&mut self, pc: Addr, actual: Addr) {
         let (id, lookup) = match self.last.take() {
             Some((last_pc, id, lookup)) if last_pc == pc => (Some(id), lookup),
@@ -181,45 +165,29 @@ impl IndirectPredictor for PpmHybrid {
         self.stack.update(&lookup, pc, actual);
         // "The PHRs and the correlation selection counters are always
         // updated" (§4): the counter sees every outcome.
-        let (before, after) = match id.and_then(|id| self.biu.entry_at(id, pc)) {
-            Some(e) => {
-                let before = (e.selector().state(), e.selector().mode());
-                e.selector_mut().record(correct);
-                (before, (e.selector().state(), e.selector().mode()))
-            }
-            None => {
-                let e = self.biu.entry(pc, TargetArity::Multiple);
-                let before = (e.selector().state(), e.selector().mode());
-                e.selector_mut().record(correct);
-                (before, (e.selector().state(), e.selector().mode()))
-            }
+        let record = |e: &mut BiuEntry| {
+            let before = *e.selector();
+            e.selector_mut().record(correct);
+            (before, *e.selector())
         };
-        if before.0 != after.0 {
-            self.selector_transitions += 1;
-        }
-        if before.1 != after.1 {
-            self.mode_flips += 1;
-        }
+        let (before, after) = match id.and_then(|id| self.biu.entry_at(id, pc)) {
+            Some(e) => record(e),
+            None => record(self.biu.entry(pc, TargetArity::Multiple)),
+        };
+        self.selector_transitions += u64::from(before.state() != after.state());
+        self.mode_flips += u64::from(before.mode() != after.mode());
     }
 
+    #[inline]
     fn observe(&mut self, event: &BranchEvent) {
         // PB records the targets of every committed branch; PIB those of
-        // indirect branches only. Each push also advances the cached
-        // SFSXS signature of the register it touches.
-        let sfsxs = *self.stack.sfsxs();
+        // indirect branches only.
+        let target = event.target().path_bits();
         if HistoryGroup::AllBranches.accepts(event) {
-            let target = event.target().path_bits();
-            let expired = self.pb_phr.slot(self.pb_phr.depth() - 1);
-            self.pb_sig = sfsxs.advance(self.pb_sig, expired, target);
-            // ibp-lint: allow(L008, "PathHistory::push writes a fixed-depth ring, not Vec growth")
-            self.pb_phr.push(target);
+            self.pb_phr.shift_in(target);
         }
         if HistoryGroup::AllIndirect.accepts(event) {
-            let target = event.target().path_bits();
-            let expired = self.pib_phr.slot(self.pib_phr.depth() - 1);
-            self.pib_sig = sfsxs.advance(self.pib_sig, expired, target);
-            // ibp-lint: allow(L008, "PathHistory::push writes a fixed-depth ring, not Vec growth")
-            self.pib_phr.push(target);
+            self.pib_phr.shift_in(target);
         }
     }
 
@@ -244,8 +212,6 @@ impl IndirectPredictor for PpmHybrid {
         self.stack.clear();
         self.pb_phr.clear();
         self.pib_phr.clear();
-        self.pb_sig = 0;
-        self.pib_sig = 0;
         self.biu.reset();
         self.stats.reset();
         self.last = None;
@@ -275,7 +241,8 @@ impl IndirectPredictor for PpmHybrid {
 
     fn save_state(&self, out: &mut ibp_hw::StateSink<'_>) {
         // `last` is predict→update window state, None at event boundaries;
-        // the cached signatures are recomputed from the PHRs on load.
+        // each PHR writes a `PathHistory`'s bytes and rebuilds its
+        // signature on load.
         self.stack.save_state(out);
         self.pb_phr.save_state(out);
         self.pib_phr.save_state(out);
@@ -300,9 +267,6 @@ impl IndirectPredictor for PpmHybrid {
         self.pib_predictions = src.u64()?;
         self.selector_transitions = src.u64()?;
         self.mode_flips = src.u64()?;
-        let sfsxs = self.stack.sfsxs();
-        self.pb_sig = sfsxs.signature(&self.pb_phr);
-        self.pib_sig = sfsxs.signature(&self.pib_phr);
         self.last = None;
         Ok(())
     }
@@ -379,10 +343,12 @@ mod tests {
 
     #[test]
     fn incremental_signatures_track_the_history_registers() {
-        // The cached signatures must equal a full SFSXS recomputation of
-        // the PHRs after any mix of conditional and indirect events —
-        // otherwise the signature-based lookup diverges from the paper's.
+        // The registers' signatures must equal a full SFSXS scan of
+        // plain PHRs fed the same events — otherwise the signature-based
+        // lookup diverges from the paper's.
         let mut p = PpmHybrid::paper();
+        let mut pb = ibp_hw::PathHistory::new(10, 10);
+        let mut pib = ibp_hw::PathHistory::new(10, 10);
         let mut x = 0x853C49E6748FEA9Bu64;
         for i in 0..500u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -394,11 +360,13 @@ mod tests {
                     let _ = p.predict(pc);
                     p.update(pc, target);
                     p.observe(&BranchEvent::indirect_jmp(pc, target));
+                    pib.push(target.path_bits());
                 }
             }
+            pb.push(target.path_bits());
             let sfsxs = p.stack.sfsxs();
-            assert_eq!(p.pb_sig, sfsxs.signature(&p.pb_phr), "PB at event {i}");
-            assert_eq!(p.pib_sig, sfsxs.signature(&p.pib_phr), "PIB at event {i}");
+            assert_eq!(p.pb_phr.signature(), sfsxs.signature(&pb), "PB at event {i}");
+            assert_eq!(p.pib_phr.signature(), sfsxs.signature(&pib), "PIB at event {i}");
         }
     }
 
@@ -412,10 +380,10 @@ mod tests {
     fn pb_history_records_everything() {
         let mut p = PpmHybrid::paper();
         p.observe(&BranchEvent::cond_taken(Addr::new(0x10), Addr::new(0x24)));
-        assert_ne!(p.pb_phr.packed(), 0);
-        assert_eq!(p.pib_phr.packed(), 0);
+        assert_ne!(p.pb_phr.slot(0), 0);
+        assert_eq!(p.pib_phr.slot(0), 0);
         p.observe(&BranchEvent::st_jsr(Addr::new(0x30), Addr::new(0x904)));
-        assert_ne!(p.pib_phr.packed(), 0);
+        assert_ne!(p.pib_phr.slot(0), 0);
     }
 
     #[test]

@@ -313,7 +313,13 @@ impl MarkovTable {
     /// encoding has no materialized `MarkovEntry` to borrow.
     #[inline]
     pub fn lookup_entry(&self, index: u64, tag: u64) -> Option<MarkovEntry> {
-        let e = self.get_slot(self.slot(index))?;
+        let slot = self.slot(index);
+        // A private plain table (every offline run's) reads its slot
+        // directly; the other layouts go through `get_slot`.
+        let e = match &self.store {
+            MarkovStore::Private(MarkovSlots::Plain(v)) => v.get(slot).copied().flatten(),
+            _ => self.get_slot(slot),
+        }?;
         if self.tagged && e.tag != tag {
             return None;
         }
@@ -324,34 +330,28 @@ impl MarkovTable {
     /// invalid), per the paper's update rule: set the valid bit, update the
     /// target under 2-bit hysteresis, adjust the counter. In a tagged
     /// table a tag mismatch reallocates the entry for the new branch.
+    #[inline]
     pub fn update(&mut self, index: u64, tag: u64, actual: Addr) {
         let slot = self.slot(index);
-        match self.get_slot(slot) {
-            Some(mut e) if !self.tagged || e.tag == tag => {
-                if e.tag != tag {
-                    // Tagless alias: another branch's state is updated
-                    // in place, exactly as the hardware would.
-                    self.tag_conflicts += 1;
-                    e.tag = tag;
+        let tagged = self.tagged;
+        // A private plain table is updated in place; every other layout
+        // reads the entry out and writes it back.
+        let (allocated, conflicted) = match &mut self.store {
+            MarkovStore::Private(MarkovSlots::Plain(v)) => match v.get_mut(slot) {
+                Some(cell) => apply_update(cell, tagged, tag, actual),
+                None => return,
+            },
+            _ => {
+                let mut cell = self.get_slot(slot);
+                let flags = apply_update(&mut cell, tagged, tag, actual);
+                if let Some(e) = cell {
+                    self.set_slot(slot, e);
                 }
-                e.entry.apply(actual);
-                self.set_slot(slot, e);
+                flags
             }
-            other => {
-                if other.is_some() {
-                    // Tagged mismatch: the slot is reallocated.
-                    self.tag_conflicts += 1;
-                }
-                self.allocations += 1;
-                self.set_slot(
-                    slot,
-                    MarkovEntry {
-                        entry: HysteresisEntry::new(actual),
-                        tag,
-                    },
-                );
-            }
-        }
+        };
+        self.allocations += u64::from(allocated);
+        self.tag_conflicts += u64::from(conflicted);
     }
 
     /// Entry allocations since construction (or the last
@@ -391,6 +391,36 @@ impl MarkovTable {
         self.store = MarkovStore::Private(MarkovSlots::new(self.len(), self.encoding));
         self.allocations = 0;
         self.tag_conflicts = 0;
+    }
+}
+
+/// The update rule on one slot. Returns `(allocated, conflicted)`: the
+/// slot became a fresh entry, and it held another branch's tag.
+#[inline]
+fn apply_update(
+    cell: &mut Option<MarkovEntry>,
+    tagged: bool,
+    tag: u64,
+    actual: Addr,
+) -> (bool, bool) {
+    match cell {
+        Some(e) if !tagged || e.tag == tag => {
+            // Tagless alias: another branch's state is updated in place,
+            // exactly as the hardware would.
+            let conflicted = e.tag != tag;
+            e.tag = tag;
+            e.entry.apply(actual);
+            (false, conflicted)
+        }
+        _ => {
+            // Invalid, or a tagged mismatch: the slot is (re)allocated.
+            let conflicted = cell.is_some();
+            *cell = Some(MarkovEntry {
+                entry: HysteresisEntry::new(actual),
+                tag,
+            });
+            (true, conflicted)
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::stack::{MarkovStack, StackConfig, StackLookup};
 use crate::stats::OrderStats;
-use ibp_hw::{HardwareCost, PathHistory, Persist};
+use ibp_hw::{HardwareCost, Persist, SfsxsRegister};
 use ibp_isa::Addr;
 use ibp_predictors::{HistoryGroup, IndirectPredictor};
 use ibp_trace::BranchEvent;
@@ -29,7 +29,9 @@ use ibp_trace::BranchEvent;
 #[derive(Debug, Clone)]
 pub struct PpmPib {
     stack: MarkovStack,
-    phr: PathHistory,
+    /// The PIB history, keeping its SFSXS signature current as targets
+    /// shift in.
+    phr: SfsxsRegister,
     stats: OrderStats,
     last: Option<(Addr, StackLookup)>,
 }
@@ -39,12 +41,11 @@ impl PpmPib {
     /// records `select_bits` low-order bits of each of the last
     /// `max_order` indirect-branch targets.
     pub fn new(config: StackConfig) -> Self {
-        let phr = PathHistory::new(config.phr_depth(), config.select_bits as u8);
-        let max_order = config.max_order;
+        let stack = MarkovStack::new(config);
         Self {
-            stack: MarkovStack::new(config),
-            phr,
-            stats: OrderStats::new(max_order),
+            phr: SfsxsRegister::new(*stack.sfsxs()),
+            stack,
+            stats: OrderStats::new(config.max_order),
             last: None,
         }
     }
@@ -77,6 +78,7 @@ impl IndirectPredictor for PpmPib {
         "PPM-PIB".into()
     }
 
+    #[inline]
     fn predict(&mut self, pc: Addr) -> Option<Addr> {
         let lookup = self.stack.lookup(&self.phr, pc);
         let prediction = lookup.prediction();
@@ -84,6 +86,7 @@ impl IndirectPredictor for PpmPib {
         prediction
     }
 
+    #[inline]
     fn update(&mut self, pc: Addr, actual: Addr) {
         let lookup = self.lookup_for(pc);
         self.stats
@@ -91,10 +94,10 @@ impl IndirectPredictor for PpmPib {
         self.stack.update(&lookup, pc, actual);
     }
 
+    #[inline]
     fn observe(&mut self, event: &BranchEvent) {
         if HistoryGroup::AllIndirect.accepts(event) {
-            // ibp-lint: allow(L008, "PathHistory::push writes a fixed-depth ring, not Vec growth")
-            self.phr.push(event.target().path_bits());
+            self.phr.shift_in(event.target().path_bits());
         }
     }
 
@@ -201,9 +204,9 @@ mod tests {
     fn pib_history_ignores_conditionals() {
         let mut p = PpmPib::paper();
         p.observe(&BranchEvent::cond_taken(Addr::new(0x10), Addr::new(0x24)));
-        assert_eq!(p.phr.packed(), 0, "conditional leaked into PIB history");
+        assert_eq!(p.phr.slot(0), 0, "conditional leaked into PIB history");
         p.observe(&BranchEvent::ret(Addr::new(0x30), Addr::new(0x14)));
-        assert_ne!(p.phr.packed(), 0, "returns are part of PIB history");
+        assert_ne!(p.phr.slot(0), 0, "returns are part of PIB history");
     }
 
     #[test]

@@ -69,6 +69,36 @@ pub struct CorrelationSelector {
     kind: SelectorKind,
 }
 
+/// Figure 5's two machines as transition tables, `[state][correct]` →
+/// next state. A hit reinforces the current side (toward its strong
+/// state); a miss moves toward the other side.
+const FIGURE_5: [[[u8; 2]; 4]; 2] = [
+    // Normal: [on a miss, on a hit].
+    [
+        [1, 0], // strongly PB
+        [2, 0], // weakly PB
+        [1, 3], // weakly PIB
+        [2, 3], // strongly PIB
+    ],
+    // PIB-biased: a miss on the PB side jumps two states toward PIB.
+    [[2, 0], [3, 0], [1, 3], [2, 3]],
+];
+
+/// [`FIGURE_5`] packed two bits per arc, the arc of `(kind, state,
+/// correct)` at bit `2 * (8 * kind + 2 * state + correct)`, so a
+/// transition is one shift and mask on the per-event path.
+const ARCS: u32 = pack(FIGURE_5);
+
+const fn pack(machines: [[[u8; 2]; 4]; 2]) -> u32 {
+    let mut out = 0;
+    let mut arc = 0;
+    while arc < 16 {
+        out |= (machines[arc / 8][arc / 2 % 4][arc % 2] as u32) << (2 * arc);
+        arc += 1;
+    }
+    out
+}
+
 impl CorrelationSelector {
     /// Creates a selector in the Strongly-PIB state (the paper initializes
     /// all counters this way for both machines).
@@ -112,28 +142,14 @@ impl CorrelationSelector {
     }
 
     /// Folds one prediction outcome into the state machine.
+    #[inline]
     pub fn record(&mut self, correct: bool) {
-        let on_pib_side = self.counter.is_high_half();
-        match (correct, on_pib_side) {
-            // Reinforce toward the strong end of the current side.
-            (true, true) => {
-                self.counter.increment();
-            }
-            (true, false) => {
-                self.counter.decrement();
-            }
-            // Misprediction: move toward the other side.
-            (false, true) => {
-                self.counter.decrement();
-            }
-            (false, false) => {
-                let step = match self.kind {
-                    SelectorKind::Normal => 1,
-                    SelectorKind::PibBiased => 2,
-                };
-                self.counter.increment_by(step);
-            }
-        }
+        let kind = match self.kind {
+            SelectorKind::Normal => 0,
+            SelectorKind::PibBiased => 1,
+        };
+        let arc = 8 * kind + 2 * self.counter.value() + u32::from(correct);
+        self.counter = Saturating2Bit::new((ARCS >> (2 * arc)) & 3);
     }
 }
 

@@ -10,10 +10,9 @@
 //! higher orders are updated; lower orders are untouched.
 
 use crate::markov::{MarkovTable, TableEncoding};
-use crate::stats::OrderStats;
-use ibp_hw::hash::Sfsxs;
+use ibp_hw::hash::{Sfsxs, SfsxsRegister};
 use ibp_hw::persist::{Persist, PersistError, StateSink, StateSource};
-use ibp_hw::{HardwareCost, PathHistory};
+use ibp_hw::HardwareCost;
 use ibp_isa::Addr;
 
 /// Configuration of a [`MarkovStack`].
@@ -125,30 +124,25 @@ impl StackConfig {
             }
         }
     }
-
-    /// The number of targets the path history register must hold.
-    pub fn phr_depth(&self) -> usize {
-        self.max_order as usize
-    }
 }
 
-/// Upper bound on `max_order` — lets [`StackLookup`] keep its per-order
-/// indices inline instead of heap-allocating a `Vec` on every lookup
-/// (one lookup per predicted branch event: this is the hot loop).
-pub const MAX_STACK_ORDER: usize = 16;
+/// Upper bound on `max_order`: the deepest history an [`SfsxsRegister`]
+/// keeps.
+pub const MAX_STACK_ORDER: usize = SfsxsRegister::MAX_DEPTH;
 
-/// The outcome of probing all Markov orders for one prediction.
+/// The outcome of probing the Markov orders for one prediction.
 ///
-/// Kept small deliberately: one lookup is produced per predicted branch
-/// event and stored across the predict→update window, so its size shows
-/// up as copy traffic in the hot loop. An order-`j` index has at most `j`
-/// bits under every scheme (`j <= MAX_STACK_ORDER <= 16`), so `u16`
-/// slots are exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One lookup is produced per predicted branch event and held across the
+/// predict→update window, so it carries only what
+/// [`MarkovStack::update`] needs: the key every order's index derives
+/// from, the provider and the prediction. The probe computes an order's
+/// index only when it reaches that order, and the update recomputes the
+/// indices of the orders it writes (one shift each under SFSXS).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StackLookup {
-    /// Per-order table indices (index 0 = order 1); slots at and beyond
-    /// the stack's `max_order` stay zero.
-    indices: [u16; MAX_STACK_ORDER],
+    /// The SFSXS signature; under [`IndexScheme::GsharePerOrder`] the
+    /// packed youngest 128 bits of history instead.
+    key: u128,
     /// The order that provided the prediction, if any.
     provider: Option<u32>,
     /// The predicted target, if any.
@@ -166,15 +160,60 @@ impl StackLookup {
     pub fn prediction(&self) -> Option<Addr> {
         self.prediction
     }
+}
 
-    /// The index probed in the order-`j` table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is out of range.
-    // ibp-lint: allow(L007, "documented panic contract: order must be in 1..=m")
-    pub fn index(&self, order: u32) -> u64 {
-        self.indices[(order - 1) as usize] as u64
+/// Turns a lookup key into each order's table index under the configured
+/// scheme. `Copy`, so the update loop can hold it beside a mutable borrow
+/// of the tables.
+#[derive(Debug, Clone, Copy)]
+struct Indexer {
+    sfsxs: Sfsxs,
+    scheme: IndexScheme,
+    low_bit_select: bool,
+}
+
+impl Indexer {
+    /// The key of the current history: its SFSXS signature, or the
+    /// packed view the gshare ablation folds per order.
+    fn key(&self, history: &SfsxsRegister) -> u128 {
+        match self.scheme {
+            IndexScheme::Sfsxs => u128::from(history.signature()),
+            IndexScheme::GsharePerOrder => {
+                // The newest target in the low bits, each older one above
+                // it, truncated at 128 bits.
+                let bits = history.bits_per_target() as usize;
+                (0..history.depth())
+                    .take_while(|age| age * bits < 128)
+                    .fold(0u128, |packed, age| {
+                        packed | (u128::from(history.slot(age)) << (age * bits))
+                    })
+            }
+        }
+    }
+
+    /// The index order `order` probes for `key`.
+    #[inline]
+    fn index(&self, key: u128, pc: Addr, order: u32) -> u64 {
+        match self.scheme {
+            IndexScheme::Sfsxs if self.low_bit_select => self.sfsxs.index_low(key as u64, order),
+            IndexScheme::Sfsxs => self.sfsxs.index(key as u64, order),
+            IndexScheme::GsharePerOrder => {
+                // Pack the youngest `order` partial targets, XOR-fold the
+                // whole window down to `order` bits (so every recorded
+                // target influences the index, as the baselines'
+                // dimension-matched gshare registers do), then XOR the
+                // PC in.
+                let window = (order * self.sfsxs.select_bits()).min(128);
+                let history = if window == 128 {
+                    key
+                } else {
+                    key & ((1u128 << window) - 1)
+                };
+                let folded64 = (history as u64) ^ ((history >> 64) as u64);
+                let folded = ibp_hw::fold_xor(folded64, 64, order);
+                ibp_hw::gshare(pc.raw() >> 2, u128::from(folded), order)
+            }
+        }
     }
 }
 
@@ -183,12 +222,12 @@ impl StackLookup {
 /// # Examples
 ///
 /// ```
-/// use ibp_hw::PathHistory;
+/// use ibp_hw::SfsxsRegister;
 /// use ibp_isa::Addr;
 /// use ibp_ppm::{MarkovStack, StackConfig};
 ///
 /// let mut stack = MarkovStack::new(StackConfig::paper());
-/// let phr = PathHistory::new(10, 10);
+/// let phr = SfsxsRegister::new(*stack.sfsxs());
 /// let lookup = stack.lookup(&phr, Addr::new(0x40));
 /// assert_eq!(lookup.prediction(), None); // cold
 /// stack.update(&lookup, Addr::new(0x40), Addr::new(0x900));
@@ -200,7 +239,7 @@ impl StackLookup {
 pub struct MarkovStack {
     config: StackConfig,
     tables: Vec<MarkovTable>,
-    sfsxs: Sfsxs,
+    indexer: Indexer,
     /// Table writes avoided by the update protocol: on each update, the
     /// number of orders below `start` that were left untouched. Under
     /// update exclusion this measures how much work PPMC's policy saves
@@ -213,14 +252,24 @@ impl MarkovStack {
     ///
     /// # Panics
     ///
-    /// Panics if `max_order` is zero or exceeds the SFSXS signature width
-    /// (`fold_bits + max_order - 1` must stay within 64 bits and the
-    /// signature must supply `max_order` index bits).
+    /// Panics if `max_order` is zero or exceeds [`MAX_STACK_ORDER`], if
+    /// `select_bits` is outside `1..=64` or `fold_bits` outside
+    /// `1..=select_bits`, or if the SFSXS signature cannot supply
+    /// `max_order` index bits within 64 bits. The history registers
+    /// built from [`sfsxs`](Self::sfsxs) rely on these bounds.
     pub fn new(config: StackConfig) -> Self {
         assert!(config.max_order > 0, "stack needs at least order 1");
         assert!(
             config.max_order as usize <= MAX_STACK_ORDER,
             "max order exceeds MAX_STACK_ORDER"
+        );
+        assert!(
+            (1..=64).contains(&config.select_bits),
+            "select_bits must be in 1..=64"
+        );
+        assert!(
+            (1..=config.select_bits).contains(&config.fold_bits),
+            "fold_bits must be in 1..=select_bits"
         );
         let sfsxs = Sfsxs::new(config.select_bits, config.fold_bits, config.max_order);
         assert!(
@@ -238,7 +287,11 @@ impl MarkovStack {
         Self {
             config,
             tables,
-            sfsxs,
+            indexer: Indexer {
+                sfsxs,
+                scheme: config.index_scheme,
+                low_bit_select: config.low_bit_select,
+            },
             excluded_updates: 0,
         }
     }
@@ -266,71 +319,24 @@ impl MarkovStack {
         (pc.raw() >> 2) & 0x3FF
     }
 
-    /// Probes every order for the current path history and branch.
-    // ibp-lint: allow(L007, "j ranges over 1..=max_order <= MAX_STACK_ORDER (validated config)")
-    pub fn lookup(&self, phr: &PathHistory, pc: Addr) -> StackLookup {
-        match self.config.index_scheme {
-            IndexScheme::Sfsxs => self.lookup_with_signature(self.sfsxs.signature(phr), pc),
-            IndexScheme::GsharePerOrder => {
-                let mut indices = [0u16; MAX_STACK_ORDER];
-                for j in 1..=self.config.max_order {
-                    // Pack the youngest j partial targets, XOR-fold the
-                    // whole window down to j bits (so every recorded
-                    // target influences the index, as the baselines'
-                    // dimension-matched gshare registers do), then XOR
-                    // the PC in.
-                    let bits = (j * phr.bits_per_target() as u32).min(128);
-                    let history = phr.packed_bits(bits);
-                    let folded64 = (history as u64) ^ ((history >> 64) as u64);
-                    let folded = ibp_hw::fold_xor(folded64, 64, j);
-                    indices[(j - 1) as usize] =
-                        ibp_hw::gshare(pc.raw() >> 2, folded as u128, j) as u16;
-                }
-                self.select(indices, pc)
-            }
-        }
-    }
-
-    /// Probes every order from a precomputed SFSXS signature.
-    ///
-    /// This is the hot-loop entry point: a caller that maintains the
-    /// signature incrementally (see [`ibp_hw::hash::Sfsxs::advance`])
-    /// skips the per-prediction history scan entirely. Only meaningful
-    /// under [`IndexScheme::Sfsxs`]; the signature must equal
-    /// `sfsxs().signature(phr)` for the history the caller tracks.
-    // ibp-lint: allow(L007, "j ranges over 1..=max_order <= MAX_STACK_ORDER (validated config)")
-    pub fn lookup_with_signature(&self, signature: u64, pc: Addr) -> StackLookup {
-        let mut indices = [0u16; MAX_STACK_ORDER];
-        for j in 1..=self.config.max_order {
-            indices[(j - 1) as usize] = if self.config.low_bit_select {
-                self.sfsxs.index_low(signature, j) as u16
-            } else {
-                self.sfsxs.index(signature, j) as u16
-            };
-        }
-        self.select(indices, pc)
-    }
-
-    /// The shared index generator.
-    pub fn sfsxs(&self) -> &Sfsxs {
-        &self.sfsxs
-    }
-
-    /// Resolves a set of per-order indices to the providing entry.
-    /// Highest order with a valid (tag-matching) entry provides. With
-    /// a confidence threshold, weak entries are skipped and the highest
-    /// valid entry only serves as a fallback.
-    // ibp-lint: allow(L007, "i enumerates tables; tables.len() <= MAX_STACK_ORDER")
-    fn select(&self, indices: [u16; MAX_STACK_ORDER], pc: Addr) -> StackLookup {
+    /// Probes the orders top-down for the current history and branch.
+    /// The highest order with a valid (tag-matching) entry provides; an
+    /// order's index is computed only when the probe reaches it, so the
+    /// common case — the top order provides — costs one index and one
+    /// table probe. With a confidence threshold, weak entries are skipped
+    /// and the highest valid entry only serves as a fallback.
+    #[inline]
+    pub fn lookup(&self, history: &SfsxsRegister, pc: Addr) -> StackLookup {
+        debug_assert_eq!(history.sfsxs(), &self.indexer.sfsxs, "history built for another stack");
+        let key = self.indexer.key(history);
         let tag = Self::tag_of(pc);
         let mut fallback: Option<(u32, Addr)> = None;
         for (i, table) in self.tables.iter().enumerate().rev() {
             let order = i as u32 + 1;
-            let idx = indices[i] as u64;
-            if let Some(entry) = table.lookup_entry(idx, tag) {
+            if let Some(entry) = table.lookup_entry(self.indexer.index(key, pc, order), tag) {
                 if entry.counter() >= self.config.confidence_threshold {
                     return StackLookup {
-                        indices,
+                        key,
                         provider: Some(order),
                         prediction: Some(entry.target()),
                     };
@@ -340,25 +346,29 @@ impl MarkovStack {
                 }
             }
         }
-        match fallback {
-            Some((order, target)) => StackLookup {
-                indices,
-                provider: Some(order),
-                prediction: Some(target),
-            },
-            None => StackLookup {
-                indices,
-                provider: None,
-                prediction: None,
-            },
+        StackLookup {
+            key,
+            provider: fallback.map(|(order, _)| order),
+            prediction: fallback.map(|(_, target)| target),
         }
+    }
+
+    /// The index `lookup` probed (and `update` writes) in the order-`j`
+    /// table for the branch at `pc`.
+    pub fn index(&self, lookup: &StackLookup, pc: Addr, order: u32) -> u64 {
+        self.indexer.index(lookup.key, pc, order)
+    }
+
+    /// The shared index generator.
+    pub fn sfsxs(&self) -> &Sfsxs {
+        &self.indexer.sfsxs
     }
 
     /// Applies the resolved target under the configured update protocol.
     /// The paper's update exclusion updates the providing order and every
     /// higher order, leaving lower orders untouched; when no order
     /// provided (all invalid), every order allocates.
-    // ibp-lint: allow(L007, "slice bounds end at max_order <= tables.len() (validated config)")
+    #[inline]
     pub fn update(&mut self, lookup: &StackLookup, pc: Addr, actual: Addr) {
         let tag = Self::tag_of(pc);
         let provider = lookup.provider.unwrap_or(1);
@@ -374,13 +384,11 @@ impl MarkovStack {
                 }
             }
         };
-        let lo = (start - 1) as usize;
-        self.excluded_updates += lo as u64;
-        for (table, &idx) in self.tables[lo..end as usize]
-            .iter_mut()
-            .zip(&lookup.indices[lo..end as usize])
-        {
-            table.update(idx as u64, tag, actual);
+        self.excluded_updates += u64::from(start - 1);
+        let indexer = self.indexer;
+        let written = self.tables.get_mut((start - 1) as usize..end as usize);
+        for (table, order) in written.into_iter().flatten().zip(start..) {
+            table.update(indexer.index(lookup.key, pc, order), tag, actual);
         }
     }
 
@@ -419,11 +427,6 @@ impl MarkovStack {
                 t.tag_conflicts(),
             );
         }
-    }
-
-    /// Records a lookup outcome into per-order statistics.
-    pub fn record_stats(&self, stats: &mut OrderStats, lookup: &StackLookup, actual: Addr) {
-        stats.record(lookup.provider(), lookup.prediction() == Some(actual));
     }
 
     /// Hardware cost of all tables (history registers are owned and
@@ -498,10 +501,10 @@ impl Persist for MarkovStack {
 mod tests {
     use super::*;
 
-    fn warm_phr(vals: &[u64]) -> PathHistory {
-        let mut phr = PathHistory::new(10, 10);
+    fn warm_phr(vals: &[u64]) -> SfsxsRegister {
+        let mut phr = SfsxsRegister::new(Sfsxs::paper());
         for &v in vals {
-            phr.push(v);
+            phr.shift_in(v);
         }
         phr
     }
@@ -567,7 +570,7 @@ mod tests {
         assert_eq!(before, after, "update exclusion violated");
         // And the order-9 entry still holds the ORIGINAL target: it was
         // not shown 0xA00.
-        let idx9 = l2.index(9);
+        let idx9 = stack.index(&l2, Addr::new(0x40), 9);
         assert_eq!(
             stack.table(9).lookup(idx9, (0x40u64 >> 2) & 0x3FF),
             Some(Addr::new(0x900))
@@ -583,19 +586,21 @@ mod tests {
         // A history differing only in the OLDEST recorded target changes
         // the order-10 index but preserves all lower-order indices (low
         // orders depend only on recent targets).
-        let mut phr_b = PathHistory::new(10, 10);
-        phr_b.push(0x77); // will age into slot 9
+        let mut phr_b = SfsxsRegister::new(Sfsxs::paper());
+        phr_b.shift_in(0x77); // will age into slot 9
         for _ in 0..6 {
-            phr_b.push(0);
+            phr_b.shift_in(0);
         }
         for &v in &[0x1u64, 0x2, 0x3] {
-            phr_b.push(v);
+            phr_b.shift_in(v);
         }
         // phr_b differs from phr_a in slot 9 only (0x77 vs 0).
         let la = stack.lookup(&phr_a, Addr::new(0x40));
         let lb = stack.lookup(&phr_b, Addr::new(0x40));
-        assert_eq!(la.index(1), lb.index(1), "order-1 index must match");
-        assert_ne!(la.index(10), lb.index(10), "order-10 index must differ");
+        let pc = Addr::new(0x40);
+        let (a, b) = (|j| stack.index(&la, pc, j), |j| stack.index(&lb, pc, j));
+        assert_eq!(a(1), b(1), "order-1 index must match");
+        assert_ne!(a(10), b(10), "order-10 index must differ");
         // The order-10 entry for phr_b's signature is invalid, so the
         // stack falls back to a lower order and still predicts 0x900.
         assert!(lb.provider().is_some());
@@ -629,9 +634,10 @@ mod tests {
         let phr = warm_phr(&[0x3FF, 0x155, 0x2AA]);
         let lh = hi.lookup(&phr, Addr::new(0x40));
         let ll = lo.lookup(&phr, Addr::new(0x40));
+        let pc = Addr::new(0x40);
         assert_ne!(
-            (1..=10).map(|j| lh.index(j)).collect::<Vec<_>>(),
-            (1..=10).map(|j| ll.index(j)).collect::<Vec<_>>()
+            (1..=10).map(|j| hi.index(&lh, pc, j)).collect::<Vec<_>>(),
+            (1..=10).map(|j| lo.index(&ll, pc, j)).collect::<Vec<_>>()
         );
     }
 
@@ -646,15 +652,16 @@ mod tests {
         let b = stack.lookup(&phr, Addr::new(0x44));
         // Same history, different PC: gshare indices must differ at some
         // order (SFSXS's would be identical).
+        let (pa, pb) = (Addr::new(0x40), Addr::new(0x44));
         assert!(
-            (1..=10).any(|j| a.index(j) != b.index(j)),
+            (1..=10).any(|j| stack.index(&a, pa, j) != stack.index(&b, pb, j)),
             "gshare must depend on the PC"
         );
         let sfsxs = MarkovStack::new(StackConfig::paper());
         let c = sfsxs.lookup(&phr, Addr::new(0x40));
         let d = sfsxs.lookup(&phr, Addr::new(0x44));
         assert!(
-            (1..=10).all(|j| c.index(j) == d.index(j)),
+            (1..=10).all(|j| sfsxs.index(&c, pa, j) == sfsxs.index(&d, pb, j)),
             "SFSXS must not depend on the PC"
         );
     }
@@ -673,7 +680,7 @@ mod tests {
         // Order 1 saw BOTH updates: its entry decayed from 0x900 toward
         // 0xA00 (one miss under hysteresis, target kept), unlike update
         // exclusion where it would never have seen 0xA00 at all.
-        let idx1 = l2.index(1);
+        let idx1 = stack.index(&l2, Addr::new(0x40), 1);
         let e = stack.table(1).lookup_entry(idx1, (0x40u64 >> 2) & 0x3FF).unwrap();
         assert_eq!(e.counter(), 0, "order 1 must have been decremented");
     }
@@ -696,7 +703,7 @@ mod tests {
         }
         let l = stack.lookup(&phr, Addr::new(0x40));
         // Order 9 still holds the original cold allocation.
-        let idx9 = l.index(9);
+        let idx9 = stack.index(&l, Addr::new(0x40), 9);
         assert_eq!(
             stack.table(9).lookup(idx9, (0x40u64 >> 2) & 0x3FF),
             Some(Addr::new(0x900))
@@ -745,13 +752,14 @@ mod tests {
         b.update(&lb, Addr::new(0x40), Addr::new(0x900));
         // a saw a miss (counter decays), b reinforced; neither sees the
         // other's writes and the shared base is untouched.
+        let pc = Addr::new(0x40);
         assert_ne!(
-            a.table(10).lookup_entry(la.index(10), (0x40u64 >> 2) & 0x3FF),
-            b.table(10).lookup_entry(lb.index(10), (0x40u64 >> 2) & 0x3FF)
+            a.table(10).lookup_entry(a.index(&la, pc, 10), (0x40u64 >> 2) & 0x3FF),
+            b.table(10).lookup_entry(b.index(&lb, pc, 10), (0x40u64 >> 2) & 0x3FF)
         );
         assert_eq!(
             base.table(10)
-                .lookup_entry(l.index(10), (0x40u64 >> 2) & 0x3FF)
+                .lookup_entry(base.index(&l, pc, 10), (0x40u64 >> 2) & 0x3FF)
                 .unwrap()
                 .counter(),
             1
@@ -787,7 +795,7 @@ mod tests {
             encoding: TableEncoding::Compact,
             ..StackConfig::paper()
         });
-        let mut phr = PathHistory::new(10, 10);
+        let mut phr = SfsxsRegister::new(Sfsxs::paper());
         let mut x = 0x9E37_79B9u64;
         for _ in 0..3000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -798,8 +806,47 @@ mod tests {
             assert_eq!(lp, lc);
             plain.update(&lp, pc, actual);
             compact.update(&lc, pc, actual);
-            phr.push(actual.raw() >> 2);
+            phr.shift_in(actual.raw() >> 2);
         }
+    }
+
+    // An out-of-range width used to build a different predictor silently:
+    // `select_bits: 266` became 10-bit slots through an `as u8` cast.
+    #[test]
+    #[should_panic(expected = "select_bits must be in 1..=64")]
+    fn zero_select_bits_panics() {
+        let _ = MarkovStack::new(StackConfig {
+            select_bits: 0,
+            ..StackConfig::paper()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "select_bits must be in 1..=64")]
+    fn select_bits_above_64_panics() {
+        let _ = MarkovStack::new(StackConfig {
+            select_bits: 65,
+            ..StackConfig::paper()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fold_bits must be in 1..=select_bits")]
+    fn zero_fold_bits_panics() {
+        let _ = MarkovStack::new(StackConfig {
+            fold_bits: 0,
+            ..StackConfig::paper()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fold_bits must be in 1..=select_bits")]
+    fn fold_wider_than_select_panics() {
+        let _ = MarkovStack::new(StackConfig {
+            select_bits: 10,
+            fold_bits: 11,
+            ..StackConfig::paper()
+        });
     }
 
     #[test]

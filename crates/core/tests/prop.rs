@@ -1,16 +1,16 @@
 //! Property tests for the PPM core: update exclusion, selector range,
 //! and stack determinism under arbitrary stimulus.
 
-use ibp_hw::PathHistory;
+use ibp_hw::{Sfsxs, SfsxsRegister};
 use ibp_isa::Addr;
 use ibp_ppm::selector::{CorrelationSelector, SelectorKind};
 use ibp_ppm::stack::{MarkovStack, StackConfig};
 use ibp_testkit::{prop_assert, prop_assert_eq, Prop, TestRng};
 
-fn phr_from(targets: &[u64]) -> PathHistory {
-    let mut phr = PathHistory::new(10, 10);
+fn phr_from(targets: &[u64]) -> SfsxsRegister {
+    let mut phr = SfsxsRegister::new(Sfsxs::paper());
     for &t in targets {
-        phr.push(t);
+        phr.shift_in(t);
     }
     phr
 }

@@ -14,10 +14,14 @@
 //!   bits, XOR everything into one signature, and finally *select* the `j`
 //!   high-order bits of the signature as the index into the order-`j`
 //!   Markov predictor;
+//! * [`SfsxsRegister`] — a path history register that keeps each slot in
+//!   the folded form SFSXS consumes and its signature current, so the
+//!   PPM predictors never rescan their history;
 //! * [`ReverseInterleave`] — the reverse-interleaving scheme used by
 //!   Driesen & Hölzle's dual-path components.
 
 use crate::history::PathHistory;
+use crate::persist::{Persist, PersistError, StateSink, StateSource};
 
 /// Classic gshare: XOR the PC with the packed history and keep `index_bits`.
 ///
@@ -141,6 +145,11 @@ impl Sfsxs {
         Self::new(10, 5, 10)
     }
 
+    /// Bits selected from each partial target.
+    pub fn select_bits(&self) -> u32 {
+        self.select_bits
+    }
+
     /// Width of the signature in bits: `fold_bits + depth - 1`.
     pub fn signature_bits(&self) -> u32 {
         self.fold_bits + self.depth - 1
@@ -167,33 +176,6 @@ impl Sfsxs {
         sig
     }
 
-    /// Advances a signature by one pushed target without rescanning the
-    /// history: removes the expired (oldest) target's contribution, ages
-    /// every remaining fold by one shift position, and deposits the new
-    /// target's fold at the top.
-    ///
-    /// Algebraically: `signature = Σ_age fold(slot_age) << (depth-1-age)`.
-    /// The expired slot sits at shift 0, so XORing its fold out and
-    /// shifting right by one re-ages all survivors; the fresh fold enters
-    /// at shift `depth-1`. Callers must pass the slot that is about to
-    /// leave the register (`phr.slot(depth-1)` *before* the push) and the
-    /// raw new target; the result equals `signature(&phr)` *after* the
-    /// push. This turns the O(depth) per-prediction signature scan into
-    /// O(1) work per recorded target — the PPM hot loop's dominant hash.
-    pub fn advance(&self, signature: u64, expired_slot: u64, new_target: u64) -> u64 {
-        let expired = fold_xor(
-            expired_slot & mask(self.select_bits),
-            self.select_bits,
-            self.fold_bits,
-        );
-        let fresh = fold_xor(
-            new_target & mask(self.select_bits),
-            self.select_bits,
-            self.fold_bits,
-        );
-        ((signature ^ expired) >> 1) ^ (fresh << (self.depth - 1))
-    }
-
     /// Selects the index for the order-`j` Markov predictor: the `j`
     /// high-order bits of the signature.
     ///
@@ -217,6 +199,208 @@ impl Sfsxs {
             "order must be in 1..=signature_bits"
         );
         signature & mask(order)
+    }
+}
+
+/// Ring capacity of [`SfsxsRegister`]: a power of two, so a ring
+/// position is one mask away from any age.
+const RING: usize = 16;
+const RING_MASK: usize = RING - 1;
+
+/// A path history register that keeps its SFSXS signature current.
+///
+/// Every PPM prediction indexes its Markov orders from the SFSXS
+/// signature of a path history register. Recomputing the signature from
+/// a [`PathHistory`] costs a select, a fold and a shift per slot on every
+/// prediction. This register instead keeps each slot in the two forms the
+/// hash consumes, its selected bits and their fold, in fixed inline rings,
+/// and advances the signature as targets shift in:
+///
+/// * a target is folded once, when it enters, with a fixed trip count
+///   (`ceil(select_bits / fold_bits)` chunks);
+/// * the expiring slot's fold is read back from the ring, not recomputed;
+/// * `signature = Σ_age fold(slot_age) << (depth-1-age)`, and the
+///   expiring slot sits at shift 0. So XORing its fold out, shifting
+///   right by one and depositing the fresh fold at shift `depth-1`
+///   re-ages every slot in O(1).
+///
+/// Invariant: [`signature`](Self::signature) equals
+/// [`Sfsxs::signature`] of a `PathHistory` of the same depth and width
+/// fed the same targets. The register persists exactly that
+/// `PathHistory`'s bytes and rebuilds its folds and signature on load, so
+/// snapshot blobs do not depend on which of the two a predictor keeps.
+///
+/// # Examples
+///
+/// ```
+/// use ibp_hw::hash::{Sfsxs, SfsxsRegister};
+/// use ibp_hw::history::PathHistory;
+///
+/// let sfsxs = Sfsxs::paper();
+/// let mut reg = SfsxsRegister::new(sfsxs);
+/// let mut phr = PathHistory::new(10, 10);
+/// for t in [0x3FF, 0x155, 0x2AA] {
+///     reg.shift_in(t);
+///     phr.push(t);
+/// }
+/// assert_eq!(reg.signature(), sfsxs.signature(&phr));
+/// assert_eq!(reg.slot(0), 0x2AA);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SfsxsRegister {
+    sfsxs: Sfsxs,
+    select_mask: u64,
+    fold_mask: u64,
+    /// Fold chunks per slot: `ceil(select_bits / fold_bits)`.
+    chunks: u32,
+    /// Ring position of the newest slot; age `a` sits at
+    /// `(head + a) & RING_MASK`.
+    head: usize,
+    /// Each slot's selected bits (the target's low `select_bits` bits).
+    slots: [u64; RING],
+    /// `folds[p]` is the fold of `slots[p]`.
+    folds: [u64; RING],
+    signature: u64,
+}
+
+/// Reads a ring at any position, wrapped to the ring.
+#[inline]
+// ibp-lint: allow(L007, "the position is masked to the fixed ring length")
+fn ring_at(ring: &[u64; RING], pos: usize) -> u64 {
+    ring[pos & RING_MASK]
+}
+
+impl SfsxsRegister {
+    /// The deepest history a register keeps.
+    pub const MAX_DEPTH: usize = RING;
+
+    /// An all-zero register of as many targets as `sfsxs` covers,
+    /// recording the bits it selects from each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the depth exceeds [`MAX_DEPTH`](Self::MAX_DEPTH) or the
+    /// selection is wider than 64 bits.
+    pub fn new(sfsxs: Sfsxs) -> Self {
+        assert!(
+            sfsxs.depth as usize <= Self::MAX_DEPTH,
+            "register depth exceeds SfsxsRegister::MAX_DEPTH"
+        );
+        assert!(sfsxs.select_bits <= 64, "select bits must be in 1..=64");
+        Self {
+            sfsxs,
+            select_mask: mask(sfsxs.select_bits),
+            fold_mask: mask(sfsxs.fold_bits),
+            chunks: sfsxs.select_bits.div_ceil(sfsxs.fold_bits),
+            head: 0,
+            slots: [0; RING],
+            folds: [0; RING],
+            signature: 0,
+        }
+    }
+
+    /// The hash this register serves.
+    pub fn sfsxs(&self) -> &Sfsxs {
+        &self.sfsxs
+    }
+
+    /// Number of targets recorded.
+    pub fn depth(&self) -> usize {
+        self.sfsxs.depth as usize
+    }
+
+    /// Bits recorded per target.
+    pub fn bits_per_target(&self) -> u32 {
+        self.sfsxs.select_bits
+    }
+
+    /// Total register width in bits (`depth * select_bits`).
+    pub fn total_bits(&self) -> u32 {
+        self.sfsxs.depth * self.sfsxs.select_bits
+    }
+
+    /// The current SFSXS signature of the recorded targets.
+    #[inline]
+    pub fn signature(&self) -> u64 {
+        self.signature
+    }
+
+    /// The selected bits of the target `age` pushes old (0 = newest).
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `age >= depth`.
+    #[inline]
+    pub fn slot(&self, age: usize) -> u64 {
+        debug_assert!(age < self.depth(), "slot age out of range");
+        ring_at(&self.slots, self.head + age)
+    }
+
+    /// `fold_xor(selected, select_bits, fold_bits)` with a fixed trip
+    /// count: every chunk below `select_bits` is XORed in, zero or not.
+    #[inline]
+    fn fold(&self, selected: u64) -> u64 {
+        let mut out = 0;
+        for chunk in 0..self.chunks {
+            // chunk * fold_bits < select_bits <= 64: the shift is in range.
+            out ^= (selected >> (chunk * self.sfsxs.fold_bits)) & self.fold_mask;
+        }
+        out
+    }
+
+    /// Shifts a target in, discarding the oldest, and advances the
+    /// signature. Only the low `select_bits` bits of `target` are kept.
+    #[inline]
+    // ibp-lint: allow(L007, "ring positions are masked to the fixed ring length")
+    pub fn shift_in(&mut self, target: u64) {
+        let depth = self.sfsxs.depth;
+        let selected = target & self.select_mask;
+        let fresh = self.fold(selected);
+        let expired = ring_at(&self.folds, self.head + depth as usize - 1);
+        let head = (self.head + RING_MASK) & RING_MASK;
+        self.head = head;
+        self.slots[head] = selected;
+        self.folds[head] = fresh;
+        self.signature = ((self.signature ^ expired) >> 1) ^ (fresh << (depth - 1));
+    }
+
+    /// Clears the register back to all zeros.
+    pub fn clear(&mut self) {
+        self.head = 0;
+        self.slots = [0; RING];
+        self.folds = [0; RING];
+        self.signature = 0;
+    }
+}
+
+impl Persist for SfsxsRegister {
+    /// Writes exactly what [`PathHistory`]'s `save_state` writes for the
+    /// same targets: the depth, the width, then each slot newest first.
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        out.u64(self.depth() as u64);
+        out.u8(self.sfsxs.select_bits as u8);
+        for age in 0..self.depth() {
+            out.u64(self.slot(age));
+        }
+    }
+
+    /// Reads [`PathHistory`]'s bytes and replays the targets oldest
+    /// first, which rebuilds every fold and the signature.
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        let depth = self.depth();
+        src.expect_u64(depth as u64, "path history depth")?;
+        if src.u8()? != self.sfsxs.select_bits as u8 {
+            return Err(PersistError::Mismatch("path history target width"));
+        }
+        let mut newest_first = [0u64; RING];
+        for slot in newest_first.iter_mut().take(depth) {
+            *slot = src.u64()?;
+        }
+        self.clear();
+        for &t in newest_first.iter().take(depth).rev() {
+            self.shift_in(t);
+        }
+        Ok(())
     }
 }
 
@@ -428,29 +612,89 @@ mod tests {
         assert_ne!(s.index(sa, 10), s.index(sb, 10));
     }
 
-    #[test]
-    fn sfsxs_advance_matches_full_recomputation() {
-        // The incremental signature must track the scan-based one exactly,
-        // across configurations including the degenerate depth-1 case.
-        let configs = [(10u32, 5u32, 10u32), (10, 5, 1), (4, 2, 3), (8, 8, 7)];
+    /// Feeds 300 pseudo-random targets to an [`SfsxsRegister`] and a
+    /// [`PathHistory`] of each configuration — the paper's, the degenerate
+    /// depth-1 case, and selections the fold width does not divide —
+    /// calling `check(label, step, register, history)` after every push.
+    fn walk_registers(mut check: impl FnMut(&str, usize, &mut SfsxsRegister, &PathHistory)) {
+        let configs = [
+            (10u32, 5u32, 10u32),
+            (10, 5, 1),
+            (4, 2, 3),
+            (8, 8, 7),
+            (10, 4, 10),
+            (7, 3, 16),
+        ];
         let mut x = 0x9E3779B97F4A7C15u64;
         for &(select, fold, depth) in &configs {
             let s = Sfsxs::new(select, fold, depth);
+            let mut reg = SfsxsRegister::new(s);
             let mut phr = PathHistory::new(depth as usize, select as u8);
-            let mut sig = s.signature(&phr);
-            for _ in 0..300 {
+            assert_eq!(reg.signature(), s.signature(&phr));
+            for step in 0..300 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let target = x >> 11;
-                let expired = phr.slot(depth as usize - 1);
-                sig = s.advance(sig, expired, target);
+                reg.shift_in(target);
                 phr.push(target);
-                assert_eq!(
-                    sig,
-                    s.signature(&phr),
-                    "cfg ({select}, {fold}, {depth})"
-                );
+                let cfg = format!("cfg ({select}, {fold}, {depth}) step {step}");
+                check(&cfg, step, &mut reg, &phr);
             }
         }
+    }
+
+    #[test]
+    fn sfsxs_advance_matches_full_recomputation() {
+        // The incremental signature must track the scan-based one exactly,
+        // and the register's slots must be the PathHistory's.
+        walk_registers(|cfg, _, reg, phr| {
+            assert_eq!(reg.signature(), reg.sfsxs().signature(phr), "{cfg}");
+            let want: Vec<u64> = phr.iter().collect();
+            let got: Vec<u64> = (0..phr.depth()).map(|a| reg.slot(a)).collect();
+            assert_eq!(got, want, "{cfg}");
+        });
+    }
+
+    #[test]
+    fn register_persists_path_history_bytes() {
+        // The register saves a PathHistory's bytes for the same targets,
+        // and a register restored from them carries on tracking the
+        // scan-based signature.
+        walk_registers(|cfg, step, reg, phr| {
+            if step % 37 == 0 {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                reg.save_state(&mut StateSink::new(&mut a));
+                phr.save_state(&mut StateSink::new(&mut b));
+                assert_eq!(a, b, "{cfg}: bytes differ from PathHistory's");
+                let mut restored = SfsxsRegister::new(*reg.sfsxs());
+                restored.load_state(&mut StateSource::new(&a)).unwrap();
+                assert_eq!(restored.signature(), reg.signature(), "{cfg}");
+                let mut again = Vec::new();
+                restored.save_state(&mut StateSink::new(&mut again));
+                assert_eq!(again, a, "{cfg}: reload changed the bytes");
+                *reg = restored;
+            }
+            assert_eq!(reg.signature(), reg.sfsxs().signature(phr), "{cfg}");
+        });
+    }
+
+    #[test]
+    fn register_load_rejects_foreign_geometry() {
+        let mut blob = Vec::new();
+        PathHistory::new(10, 10).save_state(&mut StateSink::new(&mut blob));
+        let mut deeper = SfsxsRegister::new(Sfsxs::new(10, 5, 12));
+        assert!(deeper.load_state(&mut StateSource::new(&blob)).is_err());
+        let mut narrower = SfsxsRegister::new(Sfsxs::new(8, 5, 10));
+        assert!(narrower.load_state(&mut StateSource::new(&blob)).is_err());
+        let mut truncated = SfsxsRegister::new(Sfsxs::paper());
+        assert!(truncated
+            .load_state(&mut StateSource::new(&blob[..blob.len() - 1]))
+            .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DEPTH")]
+    fn register_deeper_than_its_ring_panics() {
+        let _ = SfsxsRegister::new(Sfsxs::new(4, 2, 17));
     }
 
     #[test]

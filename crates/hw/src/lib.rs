@@ -53,7 +53,7 @@ pub use bitspec::{solve_entries, ComponentClass, StorageComponent, StorageReport
 pub use budget::HardwareCost;
 pub use counter::{Saturating2Bit, SaturatingCounter};
 pub use folded::FoldedHistory;
-pub use hash::{fold_xor, gshare, ReverseInterleave, Sfsxs};
+pub use hash::{fold_xor, gshare, ReverseInterleave, Sfsxs, SfsxsRegister};
 pub use history::PathHistory;
 pub use persist::{Persist, PersistElem, PersistError, SparseDelta, StateSink, StateSource};
 pub use table::{DirectMapped, FastMod, SetAssociative};

@@ -87,6 +87,13 @@ echo "== multi-tenant memory differential (delta ≡ private, snapshot round-tri
 cargo test -q --offline -p ibp-sim --test memory_differential
 cargo test -q --offline -p ibp-sim --test snapshot_roundtrip
 
+echo "== PPM reference models (every prediction vs a plain model) =="
+# PPM-hyb (normal and PIB-biased) and PPM-PIB against a model that keeps
+# plain history rings, rescans the SFSXS signature on every predict,
+# reduces with % and writes out Figure 5: every prediction and the final
+# telemetry must agree, on generated streams and all fifteen suite runs.
+cargo test -q --offline -p ibp-ppm --test reference_model
+
 echo "== storage-bit audit (bitreport) + 1% divergence gate =="
 # Two independent derivations of every zoo predictor's storage
 # footprint — config-declared cost() vs the allocated-state
