@@ -171,7 +171,7 @@ fn parse_attr(code: &[&Token], i: usize) -> (bool, usize) {
     let is_test = match idents.first() {
         Some(&"test") => true,
         Some(&"cfg") => {
-            idents.iter().any(|&s| s == "test") && !idents.iter().any(|&s| s == "not")
+            idents.contains(&"test") && !idents.contains(&"not")
         }
         _ => false,
     };

@@ -64,7 +64,7 @@ impl Token {
 
     /// True when the token is exactly the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
-        self.kind == TokenKind::Punct && self.text.chars().next() == Some(c)
+        self.kind == TokenKind::Punct && self.text.starts_with(c)
     }
 
     /// True when the token is exactly the identifier `name`.
@@ -232,7 +232,7 @@ pub fn lex(source: &str) -> Vec<Token> {
                 TokenKind::Ident
             }
             _ if c.is_ascii_digit() => {
-                while cur.peek(0).is_some_and(|c| is_ident_continue(c)) {
+                while cur.peek(0).is_some_and(is_ident_continue) {
                     cur.bump();
                 }
                 TokenKind::Number

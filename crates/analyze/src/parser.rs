@@ -237,17 +237,13 @@ fn parse_items(
                     "struct" | "enum" | "union" => {
                         // Ends at `;` (unit/tuple struct) or at the
                         // brace-matched body.
-                        loop {
-                            advance_to_any(tokens, code, k, &['{', ';']);
-                            if *k >= code.len() {
-                                break;
-                            }
+                        advance_to_any(tokens, code, k, &['{', ';']);
+                        if *k < code.len() {
                             if tokens[code[*k]].is_punct(';') {
                                 *k += 1;
-                                break;
+                            } else {
+                                skip_balanced(tokens, code, k, '{', '}');
                             }
-                            skip_balanced(tokens, code, k, '{', '}');
-                            break;
                         }
                     }
                     _ => skip_value_item(tokens, code, k),

@@ -295,17 +295,19 @@ pub fn check_rust(file: &RustFile) -> Vec<Diagnostic> {
                     ));
                 }
             }
-            "panic" if panic_free && !file.in_test_code(t.line) => {
-                if next.is_some_and(|n| n.is_punct('!')) {
-                    out.push(diag(
-                        file,
-                        t,
-                        RuleId::NoPanic,
-                        "`panic!` in a hot-path crate; return an error or make the invariant \
-                         a constructor precondition"
-                            .to_string(),
-                    ));
-                }
+            "panic"
+                if panic_free
+                    && !file.in_test_code(t.line)
+                    && next.is_some_and(|n| n.is_punct('!')) =>
+            {
+                out.push(diag(
+                    file,
+                    t,
+                    RuleId::NoPanic,
+                    "`panic!` in a hot-path crate; return an error or make the invariant \
+                     a constructor precondition"
+                        .to_string(),
+                ));
             }
             // L005 — thread discipline.
             "spawn" | "scope" | "Builder" if !thread_exempt => {

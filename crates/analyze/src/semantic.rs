@@ -63,8 +63,8 @@ impl SemFile<'_> {
     fn enclosing_fn(&self, line: u32) -> Option<&FnItem> {
         self.fns
             .iter()
-            .filter(|f| f.decl_line <= line && line <= f.end_line)
-            .last()
+            .rev()
+            .find(|f| f.decl_line <= line && line <= f.end_line)
     }
 }
 
@@ -289,16 +289,18 @@ fn panic_sources(code: &[&Token]) -> Vec<(u32, u32, String)> {
         let prev = i.checked_sub(1).map(|j| code[j]);
         let next = code.get(i + 1);
         match t.kind {
-            TokenKind::Ident if matches!(t.text.as_str(), "unwrap" | "expect") => {
-                if prev.is_some_and(|p| p.is_punct('.')) && next.is_some_and(|n| n.is_punct('('))
-                {
-                    out.push((t.line, t.col, format!("panicking call `.{}(...)`", t.text)));
-                }
+            TokenKind::Ident
+                if matches!(t.text.as_str(), "unwrap" | "expect")
+                    && prev.is_some_and(|p| p.is_punct('.'))
+                    && next.is_some_and(|n| n.is_punct('(')) =>
+            {
+                out.push((t.line, t.col, format!("panicking call `.{}(...)`", t.text)));
             }
-            TokenKind::Ident if PANIC_MACROS.contains(&t.text.as_str()) => {
-                if next.is_some_and(|n| n.is_punct('!')) {
-                    out.push((t.line, t.col, format!("panicking macro `{}!`", t.text)));
-                }
+            TokenKind::Ident
+                if PANIC_MACROS.contains(&t.text.as_str())
+                    && next.is_some_and(|n| n.is_punct('!')) =>
+            {
+                out.push((t.line, t.col, format!("panicking macro `{}!`", t.text)));
             }
             TokenKind::Punct if t.is_punct('[') => {
                 let indexes = prev.is_some_and(|p| {
@@ -899,8 +901,8 @@ fn design_section_11(text: &str) -> Section11 {
     let mut rows: Vec<(u8, u32)> = Vec::new();
     let mut in_sec = false;
     for (idx, line) in text.lines().enumerate() {
-        if line.starts_with("## ") {
-            in_sec = line[3..].trim_start().starts_with("11");
+        if let Some(heading) = line.strip_prefix("## ") {
+            in_sec = heading.trim_start().starts_with("11");
             continue;
         }
         if !in_sec {

@@ -52,6 +52,7 @@ fn word(rng: &mut TestRng) -> String {
         .collect()
 }
 
+#[allow(clippy::explicit_auto_deref)] // without the `*`, `choose` infers `T = str` and fails to compile
 fn seg(rng: &mut TestRng) -> Seg {
     match rng.gen_range(0..9u32) {
         0 => Seg::Code(format!("code_{}", word(rng))),

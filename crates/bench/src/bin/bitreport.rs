@@ -115,11 +115,8 @@ fn render(rows: &[KindRow]) -> Json {
     ])
 }
 
-/// The audit gate shared by `--check` and the generation path: declared
-/// vs audited within 1%, classes summing exactly, entry units agreeing,
-/// and any declared budget filled to within 1% without overshoot.
-fn gate_row(
-    label: &str,
+/// One row's numbers as the audit gate reads them.
+struct Audit {
     declared_bits: u64,
     audited_bits: u64,
     declared_entries: u64,
@@ -127,7 +124,21 @@ fn gate_row(
     budget_bits: u64,
     class_sum: u64,
     idealized: bool,
-) -> Result<(), String> {
+}
+
+/// The audit gate shared by `--check` and the generation path: declared
+/// vs audited within 1%, classes summing exactly, entry units agreeing,
+/// and any declared budget filled to within 1% without overshoot.
+fn gate_row(label: &str, audit: &Audit) -> Result<(), String> {
+    let Audit {
+        declared_bits,
+        audited_bits,
+        declared_entries,
+        audited_entries,
+        budget_bits,
+        class_sum,
+        idealized,
+    } = *audit;
     if class_sum != audited_bits {
         return Err(format!(
             "{label}: class breakdown sums to {class_sum} bits, audit says {audited_bits}"
@@ -210,13 +221,15 @@ fn check(path: &str) -> Result<(), String> {
             .sum();
         gate_row(
             &format!("{path}: {label}"),
-            field("declared_bits")?,
-            field("audited_bits")?,
-            field("declared_entries")?,
-            field("audited_entries")?,
-            field("budget_bits")?,
-            class_sum,
-            matches!(row.get("idealized"), Some(Json::Bool(true))),
+            &Audit {
+                declared_bits: field("declared_bits")?,
+                audited_bits: field("audited_bits")?,
+                declared_entries: field("declared_entries")?,
+                audited_entries: field("audited_entries")?,
+                budget_bits: field("budget_bits")?,
+                class_sum,
+                idealized: matches!(row.get("idealized"), Some(Json::Bool(true))),
+            },
         )?;
     }
     if !saw_flagship {
@@ -266,16 +279,16 @@ fn main() {
             }
         );
         let class_sum: u64 = r.class_bits.iter().map(|(_, b)| *b).sum();
-        if let Err(msg) = gate_row(
-            &r.label,
-            r.declared_bits,
-            r.audited_bits,
-            r.declared_entries,
-            r.audited_entries,
-            r.budget_bits,
+        let audit = Audit {
+            declared_bits: r.declared_bits,
+            audited_bits: r.audited_bits,
+            declared_entries: r.declared_entries,
+            audited_entries: r.audited_entries,
+            budget_bits: r.budget_bits,
             class_sum,
-            r.idealized,
-        ) {
+            idealized: r.idealized,
+        };
+        if let Err(msg) = gate_row(&r.label, &audit) {
             eprintln!("bitreport: {msg}");
             std::process::exit(1);
         }

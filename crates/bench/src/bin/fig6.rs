@@ -6,8 +6,7 @@
 //! scheme beating PPM on photon (0.95% vs 1.35%).
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin fig6 [scale] [--csv]
-//! [--budget <bits>] [--metrics <path>]
-//! [--simpoint k=K,window=W[,warmup=N,strata=R,dims=D]]`
+//! [--budget <bits>] [--metrics <path>]`
 //! (scale defaults to 1.0 = the full trace size; `--csv` emits the grid
 //! as CSV on stdout instead of the formatted tables; `--budget` sizes
 //! every predictor to the largest configuration fitting the given
@@ -15,18 +14,14 @@
 //! — and adds the faithful ITTAGE at the matching preset when one fits;
 //! `--metrics` evaluates the grid with recording probes attached and
 //! writes the per-cell metrics JSON — same prediction results, plus
-//! telemetry; `--simpoint` additionally phase-samples every cell and
-//! prints the weighted estimates next to the exact numbers — with
-//! `--metrics`, the sampling telemetry and per-cell estimate error merge
-//! into the JSON; `--budget` combines with `--csv` only).
+//! telemetry; `--budget` combines with `--csv` only).
 //! The grid runs on the work-stealing pool; `IBP_THREADS=n` pins the
 //! pool size, and the output — metrics included — is bit-identical for
 //! every `n`.
 
-use ibp_sim::report::{grid_to_csv, paper_vs_measured, render_grid, render_simpoint_grid};
+use ibp_sim::report::{grid_to_csv, paper_vs_measured, render_grid};
 use ibp_sim::{
-    compare_grid, compare_grid_at_bits, metrics_grid, metrics_to_json, simpoint_grid_with,
-    simpoint_snapshot, Executor, MetricsGrid, PredictorKind, SimPointConfig,
+    compare_grid, compare_grid_at_bits, metrics_grid, metrics_to_json, Executor, PredictorKind,
 };
 use ibp_workloads::paper_suite;
 
@@ -42,22 +37,11 @@ fn main() {
     });
     let metrics_path = args.iter().position(|a| a == "--metrics").map(|i| {
         let path = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("usage: fig6 [scale] [--csv] [--metrics <path>] [--simpoint <spec>]");
+            eprintln!("usage: fig6 [scale] [--csv] [--budget <bits>] [--metrics <path>]");
             std::process::exit(2);
         });
         args.drain(i..=i + 1);
         path
-    });
-    let simpoint = args.iter().position(|a| a == "--simpoint").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--simpoint needs k=K,window=W[,warmup=N,strata=R,dims=D]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        SimPointConfig::parse_flag(&spec).unwrap_or_else(|e| {
-            eprintln!("--simpoint: {e}");
-            std::process::exit(2);
-        })
     });
     let csv = args.iter().any(|a| a == "--csv");
     args.retain(|a| a != "--csv");
@@ -67,10 +51,9 @@ fn main() {
         .unwrap_or(1.0);
     let runs = paper_suite();
     let mut kinds = PredictorKind::figure6();
-    let exec = Executor::from_env();
     if let Some(bits) = budget_bits {
-        if metrics_path.is_some() || simpoint.is_some() {
-            eprintln!("--budget combines with --csv only (not --metrics/--simpoint)");
+        if metrics_path.is_some() {
+            eprintln!("--budget combines with --csv only (not --metrics)");
             std::process::exit(2);
         }
         // At an equal-bits budget the faithful ITTAGE joins the lineup at
@@ -81,7 +64,7 @@ fn main() {
                 break;
             }
         }
-        let grid = compare_grid_at_bits(&exec, &kinds, &runs, scale, bits);
+        let grid = compare_grid_at_bits(&Executor::from_env(), &kinds, &runs, scale, bits);
         if csv {
             print!("{}", grid_to_csv(&grid));
             return;
@@ -94,71 +77,25 @@ fn main() {
         }
         return;
     }
-    let mut metrics = None;
-    let grid = if metrics_path.is_some() {
-        let (grid, m) = metrics_grid(&kinds, &runs, scale);
-        metrics = Some(m);
-        grid
-    } else {
-        compare_grid(&kinds, &runs, scale)
-    };
-    let est = simpoint
-        .as_ref()
-        .map(|cfg| simpoint_grid_with(&exec, &kinds, 2048, &runs, scale, cfg));
-
-    if let Some(path) = &metrics_path {
-        let mut m = metrics.take().expect("metrics grid was evaluated");
-        if let (Some(cfg), Some((est_grid, sampled))) = (&simpoint, &est) {
-            // Cells and sampled runs are both in row-major (run, then
-            // predictor) order; merge the sampling telemetry — including
-            // the per-cell estimate error against the exact grid — into
-            // each cell's snapshot.
-            let mut cells = m.cells().to_vec();
-            debug_assert_eq!(cells.len(), est_grid.cells().len());
-            for (cell, run) in cells.iter_mut().zip(sampled) {
-                let exact = grid.ratio(&cell.run, &cell.predictor);
-                cell.snapshot.merge(&simpoint_snapshot(run, exact));
-            }
-            m = MetricsGrid::from_parts(
-                m.predictors().to_vec(),
-                m.runs().to_vec(),
-                m.scale(),
-                cells,
-            );
-            eprintln!("simpoint telemetry merged ({})", cfg.flag_string());
-        }
-        let json = metrics_to_json(&m);
+    let grid = if let Some(path) = &metrics_path {
+        let (grid, metrics) = metrics_grid(&kinds, &runs, scale);
+        let json = metrics_to_json(&metrics);
         if let Err(e) = std::fs::write(path, &json) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         }
         eprintln!("metrics written to {path}");
-    }
+        grid
+    } else {
+        compare_grid(&kinds, &runs, scale)
+    };
     if csv {
         print!("{}", grid_to_csv(&grid));
-        if let Some((est_grid, _)) = &est {
-            print!("{}", grid_to_csv(est_grid));
-        }
         return;
     }
 
     println!("=== Figure 6: misprediction ratios (2K-entry budget, scale {scale}) ===\n");
     print!("{}", render_grid(&grid));
-
-    if let (Some(cfg), Some((est_grid, sampled))) = (&simpoint, &est) {
-        println!(
-            "\n--- simpoint weighted estimates ({}, Δ = |est − exact| in pp) ---",
-            cfg.flag_string()
-        );
-        print!("{}", render_simpoint_grid(&grid, est_grid));
-        let events: u64 = sampled.iter().map(|r| r.events_simulated).sum();
-        let total: u64 = sampled.iter().map(|r| r.phases.total_events).sum();
-        println!(
-            "sampled fraction: {:.2}% of {} stream events fed through predictors",
-            100.0 * events as f64 / total.max(1) as f64,
-            total
-        );
-    }
 
     println!("\n--- predictor means, ranked (lower is better) ---");
     for (name, ratio) in grid.ranking() {

@@ -8,20 +8,16 @@
 //! plain hybrid stays ahead on the PB-correlated rest.
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin fig7 [scale] [--csv]
-//! [--budget <bits>] [--metrics <path>] [--simpoint <spec>]` —
-//! `--budget` sizes the three variants to the largest configuration
-//! fitting the given storage-bit budget (equal-bits instead of
-//! equal-entries; combines with `--csv` only); `--metrics` evaluates the
-//! grid with recording probes attached and writes the per-cell metrics
-//! JSON (identical prediction results, plus telemetry); `--simpoint
-//! k=K,window=W[,warmup=N,strata=R,dims=D]` additionally phase-samples
-//! every cell and prints the weighted estimates next to the exact
-//! numbers.
+//! [--budget <bits>] [--metrics <path>]` — `--budget` sizes the three
+//! variants to the largest configuration fitting the given storage-bit
+//! budget (equal-bits instead of equal-entries; combines with `--csv`
+//! only); `--metrics` evaluates the grid with recording probes attached
+//! and writes the per-cell metrics JSON (identical prediction results,
+//! plus telemetry).
 
-use ibp_sim::report::{grid_to_csv, render_grid, render_simpoint_grid};
+use ibp_sim::report::{grid_to_csv, render_grid};
 use ibp_sim::{
-    compare_grid, compare_grid_at_bits, metrics_grid, metrics_to_json, simpoint_grid_with,
-    Executor, PredictorKind, SimPointConfig,
+    compare_grid, compare_grid_at_bits, metrics_grid, metrics_to_json, Executor, PredictorKind,
 };
 use ibp_workloads::paper_suite;
 
@@ -37,22 +33,11 @@ fn main() {
     });
     let metrics_path = args.iter().position(|a| a == "--metrics").map(|i| {
         let path = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("usage: fig7 [scale] [--csv] [--metrics <path>]");
+            eprintln!("usage: fig7 [scale] [--csv] [--budget <bits>] [--metrics <path>]");
             std::process::exit(2);
         });
         args.drain(i..=i + 1);
         path
-    });
-    let simpoint = args.iter().position(|a| a == "--simpoint").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--simpoint needs k=K,window=W[,warmup=N,strata=R,dims=D]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        SimPointConfig::parse_flag(&spec).unwrap_or_else(|e| {
-            eprintln!("--simpoint: {e}");
-            std::process::exit(2);
-        })
     });
     let csv = args.iter().any(|a| a == "--csv");
     args.retain(|a| a != "--csv");
@@ -63,8 +48,8 @@ fn main() {
     let runs = paper_suite();
     let kinds = PredictorKind::figure7();
     if let Some(bits) = budget_bits {
-        if metrics_path.is_some() || simpoint.is_some() {
-            eprintln!("--budget combines with --csv only (not --metrics/--simpoint)");
+        if metrics_path.is_some() {
+            eprintln!("--budget combines with --csv only (not --metrics)");
             std::process::exit(2);
         }
         let grid = compare_grid_at_bits(&Executor::from_env(), &kinds, &runs, scale, bits);
@@ -88,26 +73,13 @@ fn main() {
     } else {
         compare_grid(&kinds, &runs, scale)
     };
-    let est = simpoint
-        .as_ref()
-        .map(|cfg| simpoint_grid_with(&Executor::from_env(), &kinds, 2048, &runs, scale, cfg));
     if csv {
         print!("{}", grid_to_csv(&grid));
-        if let Some((est_grid, _)) = &est {
-            print!("{}", grid_to_csv(est_grid));
-        }
         return;
     }
 
     println!("=== Figure 7: PPM variant misprediction ratios (scale {scale}) ===\n");
     print!("{}", render_grid(&grid));
-    if let (Some(cfg), Some((est_grid, _))) = (&simpoint, &est) {
-        println!(
-            "\n--- simpoint weighted estimates ({}, Δ = |est − exact| in pp) ---",
-            cfg.flag_string()
-        );
-        print!("{}", render_simpoint_grid(&grid, est_grid));
-    }
 
     println!("\n--- paper shape checks ---");
     let pib_better_runs = ["eon.chair", "perl.std", "ixx.lay", "ixx.wid"];

@@ -2,27 +2,25 @@
 //! estimates versus full runs, as a timing-free, byte-deterministic
 //! report on stdout (committed as `results/simpoint_validation.txt`).
 //!
-//! Two sections, each gated at |err| ≤ 0.5 pp:
+//! Both sections use the one estimator, [`stream_prep`] then
+//! [`simpoint_streamed_chained`] (one predictor carried through the
+//! sampling units in time order, a short re-sync warmup before each
+//! window), under the default [`SimPointConfig`], and each is gated at
+//! |err| ≤ 0.5 pp:
 //!
 //! * every suite run at full trace scale, PPM-hyb at the 2K-entry
-//!   budget: full simulation versus the cold-start weighted estimate
-//!   under the default [`SimPointConfig`] (deterministic for any pool
-//!   size);
+//!   budget, on the run's stream (the events `generate` would
+//!   materialize);
 //! * every figure-6 kind on the gs.tig program model streamed for about
-//!   2M events: full simulation versus the **chained** estimator
-//!   ([`simpoint_streamed_chained`]: one predictor carried through the
-//!   sampling units in time order, a short re-sync warmup before each
-//!   window). The chained path is serial, hence deterministic.
+//!   2M events.
 //!
-//! Exits 1 if any row misses its gate. Speed is measured by ibpbench's
-//! `longrun` workload, not here.
+//! The estimator is serial, so the report does not depend on
+//! `IBP_THREADS`. Exits 1 if any row misses its gate. Speed is measured
+//! by ibpbench's `longrun` workload, not here.
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin simbench`
 
-use ibp_sim::{
-    simpoint_streamed_chained, simpoint_trace, stream_prep, Executor, PredictorKind,
-    SimPointConfig,
-};
+use ibp_sim::{simpoint_streamed_chained, stream_prep, PredictorKind, SimPointConfig};
 use ibp_workloads::paper_suite;
 use std::fmt::Write as _;
 
@@ -30,15 +28,22 @@ const ERROR_GATE_PP: f64 = 0.5;
 /// Approximate length of the streamed gs.tig run in the chained section.
 const CHAINED_EVENTS: u64 = 2_000_000;
 
+/// A config as the section headers print it.
+fn cfg_string(cfg: &SimPointConfig) -> String {
+    format!(
+        "k={},window={},warmup={},strata={},dims={}",
+        cfg.k, cfg.window, cfg.warmup_windows, cfg.strata, cfg.dims
+    )
+}
+
 /// The 15-run section: full vs weighted PPM-hyb over every suite run at
 /// full trace scale. Returns whether every run met the gate.
 fn suite_section(out: &mut String) -> bool {
-    let exec = Executor::from_env();
     let cfg = &SimPointConfig::default();
     let _ = writeln!(
         out,
         "simpoint validation: PPM-hyb @ 2048 entries, full trace scale, cfg {}",
-        cfg.flag_string()
+        cfg_string(cfg)
     );
     let _ = writeln!(
         out,
@@ -48,9 +53,11 @@ fn suite_section(out: &mut String) -> bool {
     let mut worst = 0.0f64;
     let mut worst_run = String::new();
     for run in paper_suite() {
-        let trace = run.generate();
-        let full = PredictorKind::PpmHyb.simulate_events(2048, trace.iter().copied());
-        let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, cfg, &exec);
+        let stream = run.stream();
+        let iterations = run.scaled_iterations(1.0) as u64;
+        let full = PredictorKind::PpmHyb.simulate_events(2048, stream.clone().events(iterations));
+        let prep = stream_prep(&stream, iterations, cfg);
+        let sampled = simpoint_streamed_chained(PredictorKind::PpmHyb, 2048, &prep, cfg);
         let err = (sampled.estimate.misprediction_ratio() - full.misprediction_ratio()).abs()
             * 100.0;
         if err > worst {
@@ -81,13 +88,7 @@ fn suite_section(out: &mut String) -> bool {
 /// The chained section: every figure-6 kind, full vs chained estimate on
 /// the streamed gs.tig run. Returns whether every kind met the gate.
 fn chained_section(out: &mut String) -> bool {
-    // Warmup only repairs recency on top of carried state, so 16 windows
-    // suffice, and the freed budget buys more strata.
-    let cfg = &SimPointConfig {
-        warmup_windows: 16,
-        strata: 16,
-        ..SimPointConfig::default()
-    };
+    let cfg = &SimPointConfig::default();
     let Some(run) = paper_suite().into_iter().find(|r| r.label() == "gs.tig") else {
         let _ = writeln!(out, "paper suite lost its gs.tig run");
         return false;
@@ -104,7 +105,7 @@ fn chained_section(out: &mut String) -> bool {
         phases.total_events,
         phases.windows(),
         phases.clusters.len(),
-        cfg.flag_string()
+        cfg_string(cfg)
     );
     let _ = writeln!(
         out,

@@ -7,18 +7,12 @@
 //! training by 0..16 branch events for the main contenders and shows who
 //! depends most on fresh history.
 //!
-//! Usage: `cargo run --release -p ibp-bench --bin sweep_delay [scale]
-//! [--simpoint k=K,window=W[,warmup=N,strata=R,dims=D]]` — with
-//! `--simpoint`, each table is followed by its phase-sampled weighted
-//! estimates (one clustering per trace, shared across the kind × delay
-//! product). `IBP_THREADS=n` pins the pool size.
+//! Usage: `cargo run --release -p ibp-bench --bin sweep_delay [scale]`.
+//! `IBP_THREADS=n` pins the pool size.
 
 use ibp_exec::Executor;
 use ibp_sim::report::pct;
-use ibp_sim::{
-    cluster_signatures, signatures_of, simpoint_with, simulate, DelayedPredictor, Phases,
-    PredictorKind, SimPointConfig,
-};
+use ibp_sim::{simulate, DelayedPredictor, PredictorKind};
 use ibp_trace::Trace;
 use ibp_workloads::paper_suite;
 
@@ -49,40 +43,6 @@ fn sweep(
         .collect()
 }
 
-/// The phase-sampled twin of [`sweep`]: weighted-estimate means per
-/// (kind, delay) cell. The product loop is serial — the parallel stage
-/// is the representative-window fan-out inside each estimate.
-fn sweep_estimates(
-    exec: &Executor,
-    kinds: &[PredictorKind],
-    delays: &[usize],
-    traces: &[Trace],
-    speculative: bool,
-    cfg: &SimPointConfig,
-    phases: &[Phases],
-) -> Vec<f64> {
-    let mut means = Vec::with_capacity(kinds.len() * delays.len());
-    for &kind in kinds {
-        for &d in delays {
-            let mut sum = 0.0;
-            for (trace, ph) in traces.iter().zip(phases) {
-                let build = || {
-                    if speculative {
-                        DelayedPredictor::with_speculative_history(kind.build(), d)
-                    } else {
-                        DelayedPredictor::new(kind.build(), d)
-                    }
-                };
-                sum += simpoint_with(&kind.label(), build, trace, ph, cfg, exec)
-                    .estimate
-                    .misprediction_ratio();
-            }
-            means.push(sum / traces.len() as f64);
-        }
-    }
-    means
-}
-
 fn print_table(kinds: &[PredictorKind], delays: &[usize], prefix: &str, means: &[f64]) {
     print!("{:<16}", "predictor");
     for d in delays {
@@ -98,55 +58,14 @@ fn print_table(kinds: &[PredictorKind], delays: &[usize], prefix: &str, means: &
     }
 }
 
-fn print_estimates(
-    exec: &Executor,
-    kinds: &[PredictorKind],
-    delays: &[usize],
-    traces: &[Trace],
-    speculative: bool,
-    simpoint: &Option<(SimPointConfig, Vec<Phases>)>,
-    prefix: &str,
-    exact: &[f64],
-) {
-    let Some((cfg, phases)) = simpoint else {
-        return;
-    };
-    let est = sweep_estimates(exec, kinds, delays, traces, speculative, cfg, phases);
-    println!("\nsimpoint weighted estimates ({}):", cfg.flag_string());
-    print_table(kinds, delays, prefix, &est);
-    let worst = exact
-        .iter()
-        .zip(&est)
-        .map(|(x, e)| (x - e).abs())
-        .fold(0.0f64, f64::max);
-    println!("worst per-cell |est − exact|: {:.3}pp", worst * 100.0);
-}
-
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let simpoint_cfg = args.iter().position(|a| a == "--simpoint").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--simpoint needs k=K,window=W[,warmup=N,strata=R,dims=D]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        SimPointConfig::parse_flag(&spec).unwrap_or_else(|e| {
-            eprintln!("--simpoint: {e}");
-            std::process::exit(2);
-        })
-    });
-    let scale: f64 = args
-        .first()
+    let scale: f64 = std::env::args()
+        .nth(1)
         .map(|s| s.parse().expect("scale must be a number"))
         .unwrap_or(0.15);
     let exec = Executor::from_env();
     let suite = paper_suite();
     let traces: Vec<Trace> = exec.map(&suite, |_, r| r.generate_scaled(scale));
-    let simpoint = simpoint_cfg.map(|cfg| {
-        let phases =
-            exec.map(&traces, |_, t| cluster_signatures(&signatures_of(t, &cfg), &cfg));
-        (cfg, phases)
-    });
     let delays = [0usize, 1, 2, 4, 8, 16];
     let kinds = [
         PredictorKind::Btb2b,
@@ -159,7 +78,6 @@ fn main() {
     println!("=== A6: mean misprediction vs update delay, in branch events (scale {scale}) ===\n");
     let means = sweep(&exec, &kinds, &delays, &traces, false);
     print_table(&kinds, &delays, "d", &means);
-    print_estimates(&exec, &kinds, &delays, &traces, false, &simpoint, "d", &means);
 
     println!("\n--- same sweep with speculative history (only table writes delayed) ---");
     let spec_kinds = [
@@ -169,7 +87,6 @@ fn main() {
     ];
     let means = sweep(&exec, &spec_kinds, &delays, &traces, true);
     print_table(&spec_kinds, &delays, "sd", &means);
-    print_estimates(&exec, &spec_kinds, &delays, &traces, true, &simpoint, "sd", &means);
     println!(
         "\ntwo lessons: (1) without speculative history maintenance even a\n\
          1-branch update lag destroys every path-based predictor — the\n\

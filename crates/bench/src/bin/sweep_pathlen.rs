@@ -5,11 +5,8 @@
 //! depth of GAp and the Target Cache and the (short,long) path lengths of
 //! the dual-path hybrid.
 //!
-//! Usage: `cargo run --release -p ibp-bench --bin sweep_pathlen [scale]
-//! [--simpoint k=K,window=W[,warmup=N,strata=R,dims=D]]` — with
-//! `--simpoint`, each mean carries its phase-sampled weighted estimate
-//! next to the exact number (one clustering per trace, shared across
-//! every predictor config). `IBP_THREADS=n` pins the pool size.
+//! Usage: `cargo run --release -p ibp-bench --bin sweep_pathlen [scale]`.
+//! `IBP_THREADS=n` pins the pool size.
 
 use ibp_exec::Executor;
 use ibp_predictors::{
@@ -17,15 +14,14 @@ use ibp_predictors::{
     TargetCache, TargetCacheConfig,
 };
 use ibp_sim::report::pct;
-use ibp_sim::{cluster_signatures, signatures_of, simpoint_with, simulate, Phases, SimPointConfig};
+use ibp_sim::simulate;
 use ibp_trace::Trace;
 use ibp_workloads::paper_suite;
 
-/// The exact mean plus, when sampling is on, its weighted estimate.
+/// Mean misprediction ratio of one predictor config over the suite.
 struct Sweep<'a> {
     exec: &'a Executor,
     traces: &'a [Trace],
-    simpoint: Option<(SimPointConfig, Vec<Phases>)>,
 }
 
 impl Sweep<'_> {
@@ -34,63 +30,25 @@ impl Sweep<'_> {
             let mut p = build();
             simulate(p.as_mut(), trace).misprediction_ratio()
         });
-        let exact = ratios.iter().sum::<f64>() / self.traces.len() as f64;
-        match &self.simpoint {
-            None => println!("  {label} {}", pct(exact)),
-            Some((cfg, phases)) => {
-                let mut sum = 0.0;
-                for (trace, ph) in self.traces.iter().zip(phases) {
-                    sum += simpoint_with(label, &build, trace, ph, cfg, self.exec)
-                        .estimate
-                        .misprediction_ratio();
-                }
-                let est = sum / self.traces.len() as f64;
-                println!(
-                    "  {label} {}  est {} (Δ{:.3}pp)",
-                    pct(exact),
-                    pct(est),
-                    (exact - est).abs() * 100.0
-                );
-            }
-        }
+        let mean = ratios.iter().sum::<f64>() / self.traces.len() as f64;
+        println!("  {label} {}", pct(mean));
     }
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let simpoint_cfg = args.iter().position(|a| a == "--simpoint").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--simpoint needs k=K,window=W[,warmup=N,strata=R,dims=D]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        SimPointConfig::parse_flag(&spec).unwrap_or_else(|e| {
-            eprintln!("--simpoint: {e}");
-            std::process::exit(2);
-        })
-    });
-    let scale: f64 = args
-        .first()
+    let scale: f64 = std::env::args()
+        .nth(1)
         .map(|s| s.parse().expect("scale must be a number"))
         .unwrap_or(0.25);
     let exec = Executor::from_env();
     let suite = paper_suite();
     let traces: Vec<Trace> = exec.map(&suite, |_, r| r.generate_scaled(scale));
-    let simpoint = simpoint_cfg.map(|cfg| {
-        let phases =
-            exec.map(&traces, |_, t| cluster_signatures(&signatures_of(t, &cfg), &cfg));
-        (cfg, phases)
-    });
     let sweep = Sweep {
         exec: &exec,
         traces: &traces,
-        simpoint,
     };
 
     println!("=== A4: path-length sensitivity (means over the suite, scale {scale}) ===\n");
-    if let Some((cfg, _)) = &sweep.simpoint {
-        println!("(simpoint estimates: {})\n", cfg.flag_string());
-    }
 
     println!("GAp: path length (2 bits per target)");
     for p in [1usize, 2, 3, 5, 8, 10] {

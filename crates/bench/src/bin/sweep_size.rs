@@ -7,21 +7,15 @@
 //! where each scheme is capacity-limited versus resolution-limited.
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin sweep_size [scale]
-//! [--budget b1,b2,...] [--simpoint k=K,window=W[,warmup=N,strata=R,dims=D]]`
-//! — with `--simpoint`, a second table of phase-sampled weighted
-//! estimates is printed next to the exact one (each trace is clustered
-//! once and shared across the whole kind × budget product). With
-//! `--budget`, the columns are storage-bit budgets instead of entry
-//! counts: each predictor is resized to the largest configuration
-//! fitting each bit budget (cells print `-` where even the 64-entry
-//! floor overshoots; excludes `--simpoint`). `IBP_THREADS=n` pins the
-//! pool size.
+//! [--budget b1,b2,...]` — with `--budget`, the columns are storage-bit
+//! budgets instead of entry counts: each predictor is resized to the
+//! largest configuration fitting each bit budget (cells print `-` where
+//! even the 64-entry floor overshoots). `IBP_THREADS=n` pins the pool
+//! size.
 
 use ibp_exec::Executor;
 use ibp_sim::report::pct;
-use ibp_sim::{
-    cluster_signatures, signatures_of, simpoint_from_phases, Phases, PredictorKind, SimPointConfig,
-};
+use ibp_sim::PredictorKind;
 use ibp_workloads::paper_suite;
 
 fn print_means(kinds: &[PredictorKind], budgets: &[usize], traces: usize, ratios: &[f64]) {
@@ -79,17 +73,6 @@ fn main() {
             })
             .collect::<Vec<u64>>()
     });
-    let simpoint = args.iter().position(|a| a == "--simpoint").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--simpoint needs k=K,window=W[,warmup=N,strata=R,dims=D]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        SimPointConfig::parse_flag(&spec).unwrap_or_else(|e| {
-            eprintln!("--simpoint: {e}");
-            std::process::exit(2);
-        })
-    });
     let scale: f64 = args
         .first()
         .map(|s| s.parse().expect("scale must be a number"))
@@ -101,10 +84,6 @@ fn main() {
     let traces = exec.map(&runs, |_, r| r.generate_scaled(scale));
 
     if let Some(bits) = &bit_budgets {
-        if simpoint.is_some() {
-            eprintln!("--budget excludes --simpoint");
-            std::process::exit(2);
-        }
         // Equal-bits columns: resolve each (kind, bit budget) to its
         // largest fitting entry configuration once, then fan the product
         // out exactly like the entry sweep. The faithful ITTAGE joins at
@@ -148,35 +127,6 @@ fn main() {
 
     println!("=== A1: mean misprediction ratio vs total table budget (scale {scale}) ===\n");
     print_means(&kinds, &budgets, traces.len(), &ratios);
-
-    if let Some(cfg) = &simpoint {
-        // One clustering per trace, shared across the whole product; the
-        // representative-window fan-out inside each estimate is the
-        // parallel stage here, so the product loop itself stays serial
-        // (and therefore deterministic by construction).
-        let phases: Vec<Phases> =
-            exec.map(&traces, |_, t| cluster_signatures(&signatures_of(t, cfg), cfg));
-        let mut est = Vec::with_capacity(ratios.len());
-        for &kind in &kinds {
-            for &budget in &budgets {
-                for (ti, trace) in traces.iter().enumerate() {
-                    let run = simpoint_from_phases(kind, budget, trace, &phases[ti], cfg, &exec);
-                    est.push(run.estimate.misprediction_ratio());
-                }
-            }
-        }
-        println!(
-            "\n--- simpoint weighted estimates ({}) ---",
-            cfg.flag_string()
-        );
-        print_means(&kinds, &budgets, traces.len(), &est);
-        let worst = ratios
-            .iter()
-            .zip(&est)
-            .map(|(x, e)| (x - e).abs())
-            .fold(0.0f64, f64::max);
-        println!("worst per-cell |est − exact|: {:.3}pp", worst * 100.0);
-    }
 
     println!("\n(2048 is the paper's design point; the paper left the sweep as future work)");
 }

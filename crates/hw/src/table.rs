@@ -72,6 +72,7 @@ impl FastMod {
     }
 
     /// The modulus.
+    #[allow(clippy::len_without_is_empty)] // a modulus is never zero (`new` asserts it)
     pub fn len(&self) -> u64 {
         self.len
     }
@@ -567,14 +568,11 @@ impl<T> SetAssociative<T> {
                 Some(_) => {}
             }
         }
-        let old = std::mem::replace(
-            &mut slice[victim],
-            Some(Way {
-                tag,
-                value,
-                last_use: clock,
-            }),
-        );
+        let old = slice[victim].replace(Way {
+            tag,
+            value,
+            last_use: clock,
+        });
         if old.is_some() {
             self.evictions += 1;
         }

@@ -72,13 +72,10 @@ pub enum DecodedInstr {
 /// # Panics
 ///
 /// Panics if `displacement` exceeds 13 bits for indirect branches (the
-/// hint and MT fields need the top three) or 16 bits otherwise.
+/// hint and MT fields need the top three).
 pub fn encode(class: BranchClass, displacement: u16) -> u32 {
     let (opcode, disp) = match class {
-        BranchClass::ConditionalDirect => {
-            assert!(displacement <= u16::MAX, "16-bit displacement");
-            (Opcode::CondBranch, displacement)
-        }
+        BranchClass::ConditionalDirect => (Opcode::CondBranch, displacement),
         BranchClass::UnconditionalDirect { is_call } => (
             if is_call { Opcode::Bsr } else { Opcode::Br },
             displacement,

@@ -610,11 +610,11 @@ impl IndirectPredictor for Ittage64 {
             ComponentClass::History,
             (HIST_EVENTS[NUM_TABLES - 1] * 4) as u64,
         );
-        for i in 0..NUM_TABLES {
+        for (i, tag_bits) in TAG_BITS.into_iter().enumerate() {
             r.register(
                 &format!("T{i}.csrs"),
                 ComponentClass::History,
-                (INDEX_FOLD_BITS + TAG_BITS[i] + (TAG_BITS[i] - 1)) as u64,
+                (INDEX_FOLD_BITS + tag_bits + (tag_bits - 1)) as u64,
             );
         }
         r.register("use_alt_on_na", ComponentClass::Counter, USE_ALT_BITS as u64)
@@ -774,8 +774,8 @@ impl IndirectPredictor for Ittage64 {
             });
         }
         let mut tables = Vec::with_capacity(NUM_TABLES);
-        for t in 0..NUM_TABLES {
-            let tag_mask = (1u64 << TAG_BITS[t]) - 1;
+        for tag_bits in TAG_BITS {
+            let tag_mask = (1u64 << tag_bits) - 1;
             let mut entries = vec![None; c.table_entries];
             let n = src.usize()?;
             let mut prev: Option<usize> = None;

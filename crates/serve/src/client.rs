@@ -100,6 +100,10 @@ pub struct SessionStats {
     pub mispredictions: u64,
 }
 
+/// A close receipt as the client holds it until `finish`: events,
+/// predictions, mispredictions and the per-site ledger.
+type CloseReceipt = (u64, u64, u64, Vec<(u64, u64, u64)>);
+
 /// What one closed mux stream produced, reconstructed from the server's
 /// `MUX_CLOSED` receipt (summary streams) plus any `MUX_PREDICTION`
 /// frames (verbose streams).
@@ -180,7 +184,7 @@ struct StreamState {
     predictions: u64,
     mispredictions: u64,
     backpressure_warnings: u64,
-    closed: Option<(u64, u64, u64, Vec<(u64, u64, u64)>)>,
+    closed: Option<CloseReceipt>,
     error: Option<(ErrorCode, String)>,
 }
 

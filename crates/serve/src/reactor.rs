@@ -162,6 +162,7 @@ impl Tallies {
 }
 
 /// Where a connection is in its life: before or after the handshake.
+#[allow(clippy::large_enum_variant)] // boxing the live variant adds an indirection to every poll
 enum Plane {
     /// Still waiting for (or parsing) the handshake.
     Handshake,

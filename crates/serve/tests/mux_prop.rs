@@ -113,11 +113,12 @@ fn mux_stream(streams: &StreamBatches, schedule: &[u64]) -> Vec<u8> {
     bytes
 }
 
+/// The observed frame-type sequence plus each stream's events.
+type ParsedMux = (Vec<u8>, BTreeMap<u64, Vec<BranchEvent>>);
+
 /// Reassembles per-stream event sequences from a mux byte stream fed in
 /// the given fragments, plus the observed frame-type sequence.
-fn parse_mux_stream(
-    fragments: &[&[u8]],
-) -> Result<(Vec<u8>, BTreeMap<u64, Vec<BranchEvent>>), ibp_serve::ProtocolError> {
+fn parse_mux_stream(fragments: &[&[u8]]) -> Result<ParsedMux, ibp_serve::ProtocolError> {
     let mut fb = FrameBuffer::new();
     let mut decoders: BTreeMap<u64, EventDeltaState> = BTreeMap::new();
     let mut per_stream: BTreeMap<u64, Vec<BranchEvent>> = BTreeMap::new();
@@ -190,7 +191,7 @@ fn serve_bytes(bytes: &[u8]) -> BTreeMap<u64, ServerFrame> {
     let mut fb = FrameBuffer::new();
     fb.feed(bytes);
     let mut out = Vec::new();
-    while let Some(raw) = fb.next_frame().expect("valid").take() {
+    while let Some(raw) = fb.next_frame().expect("valid") {
         conn.on_frame(&raw, &mut out).expect("well-formed stream");
     }
     conn.step_pending(&mut out);
@@ -395,14 +396,9 @@ fn mutated_mux_streams_never_panic_the_registry() {
             let mut fb = FrameBuffer::new();
             fb.feed(&bytes);
             let mut out = Vec::new();
-            loop {
-                match fb.next_frame() {
-                    Ok(Some(raw)) => {
-                        if conn.on_frame(&raw, &mut out).is_err() {
-                            break; // connection-fatal: typed, done.
-                        }
-                    }
-                    Ok(None) | Err(_) => break,
+            while let Ok(Some(raw)) = fb.next_frame() {
+                if conn.on_frame(&raw, &mut out).is_err() {
+                    break; // connection-fatal: typed, done.
                 }
             }
             conn.step_pending(&mut out);
@@ -425,17 +421,12 @@ fn mutated_mux_server_streams_never_panic() {
             apply_ops(&mut bytes, ops);
             let mut fb = FrameBuffer::new();
             fb.feed(&bytes);
-            loop {
-                match fb.next_frame() {
-                    Ok(Some(raw)) => {
-                        let _ = ServerFrame::decode(&raw);
-                        let _ = RawFrame {
-                            frame_type: raw.frame_type,
-                            payload: raw.payload,
-                        };
-                    }
-                    Ok(None) | Err(_) => break,
-                }
+            while let Ok(Some(raw)) = fb.next_frame() {
+                let _ = ServerFrame::decode(&raw);
+                let _ = RawFrame {
+                    frame_type: raw.frame_type,
+                    payload: raw.payload,
+                };
             }
             Ok(())
         },

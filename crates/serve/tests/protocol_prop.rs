@@ -280,13 +280,8 @@ fn mutated_server_streams_never_panic() {
             apply_ops(&mut bytes, ops);
             let mut fb = FrameBuffer::new();
             fb.feed(&bytes);
-            loop {
-                match fb.next_frame() {
-                    Ok(Some(raw)) => {
-                        let _ = ServerFrame::decode(&raw);
-                    }
-                    Ok(None) | Err(_) => break,
-                }
+            while let Ok(Some(raw)) = fb.next_frame() {
+                let _ = ServerFrame::decode(&raw);
             }
             Ok(())
         },

@@ -46,12 +46,9 @@ pub use metrics::{
 };
 pub use runner::{ras_accuracy, simulate, simulate_stream, simulate_stream_probed, RunResult};
 pub use simpoint::{
-    cluster_signatures, signatures_of, simpoint_from_phases, simpoint_grid_with,
-    simpoint_snapshot, simpoint_streamed, simpoint_streamed_chained, simpoint_streamed_prepped,
-    simpoint_trace,
-    simpoint_with, simulate_window, stream_prep, warm_predictor, PhaseCluster, Phases,
-    SignatureBuilder, SignatureSet, SimPointConfig, SimPointRun, StreamPrep, WeightedEstimate,
-    WindowSignature, SIMPOINT_SEED,
+    cluster_signatures, simpoint_streamed_chained, simulate_window, stream_prep, warm_predictor,
+    PhaseCluster, Phases, SignatureBuilder, SignatureSet, SimPointConfig, SimPointRun, StreamPrep,
+    WeightedEstimate, WindowSignature, SIMPOINT_SEED,
 };
 pub use snapshot::{restore_session, snapshot_header, snapshot_session, BaseTier, SnapshotHeader};
 pub use stepper::{PredictionOutcome, SessionStepper, Stepper};

@@ -57,62 +57,6 @@ pub fn render_grid(grid: &GridResult) -> String {
     out
 }
 
-/// Renders a phase-sampled estimate grid next to its exact twin: one row
-/// per run, one `est% Δpp` column per predictor (Δ is the absolute
-/// estimate−exact gap in percentage points), a MEAN row, and a WORSTΔ
-/// footer with each predictor's largest per-run gap.
-pub fn render_simpoint_grid(exact: &GridResult, est: &GridResult) -> String {
-    let mut out = String::new();
-    let col = 14usize;
-    let name_col = 12usize;
-    let _ = write!(out, "{:<name_col$}", "run");
-    for p in est.predictors() {
-        let _ = write!(out, "{p:>col$}");
-    }
-    out.push('\n');
-    for run in est.runs() {
-        let _ = write!(out, "{run:<name_col$}");
-        for p in est.predictors() {
-            match (est.ratio(run, p), exact.ratio(run, p)) {
-                (Some(e), Some(x)) => {
-                    let cell = format!("{} Δ{:.2}", pct(e), (e - x).abs() * 100.0);
-                    let _ = write!(out, "{cell:>col$}");
-                }
-                (Some(e), None) => {
-                    let _ = write!(out, "{:>col$}", pct(e));
-                }
-                _ => {
-                    let _ = write!(out, "{:>col$}", "-");
-                }
-            }
-        }
-        out.push('\n');
-    }
-    let _ = write!(out, "{:<name_col$}", "MEAN");
-    for p in est.predictors() {
-        match est.mean_ratio(p) {
-            Some(r) => {
-                let _ = write!(out, "{:>col$}", pct(r));
-            }
-            None => {
-                let _ = write!(out, "{:>col$}", "-");
-            }
-        }
-    }
-    out.push('\n');
-    let _ = write!(out, "{:<name_col$}", "WORSTΔ");
-    for p in est.predictors() {
-        let worst = est
-            .runs()
-            .iter()
-            .filter_map(|run| Some((est.ratio(run, p)? - exact.ratio(run, p)?).abs()))
-            .fold(0.0f64, f64::max);
-        let _ = write!(out, "{:>col$}", format!("{:.3}pp", worst * 100.0));
-    }
-    out.push('\n');
-    out
-}
-
 /// Renders a grid as CSV (`run,predictor,ratio,predictions` rows), for
 /// spreadsheet or plotting pipelines.
 pub fn grid_to_csv(grid: &GridResult) -> String {

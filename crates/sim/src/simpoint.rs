@@ -5,25 +5,28 @@
 //! the event stream into fixed-size **windows**, summarize each window as
 //! a branch-vector **signature** (which targets the window's MT indirect
 //! branches reached, hashed into a fixed number of dimensions), cluster
-//! the signatures with in-tree k-means, then simulate only one
-//! **representative** window per cluster — warmed by replaying the
-//! windows just before it — and report the cluster-weighted estimate.
-//! A 100M-event run costs one streaming signature pass plus a handful of
-//! window simulations per predictor instead of 100M predictor steps.
+//! the signatures with in-tree k-means, then simulate only a few
+//! **representative** windows per cluster — one predictor carried
+//! through them in time order, each re-synced by replaying the windows
+//! just before it — and report the cluster-weighted estimate. A
+//! 100M-event run costs one streaming signature pass plus the sampled
+//! windows per predictor instead of 100M predictor steps.
 //!
-//! Everything is deterministic by construction (the validation suite
-//! compares weighted estimates against full runs byte-for-byte across
-//! pool sizes):
+//! The estimator has two halves: [`stream_prep`] (signatures, generator
+//! checkpoints and clustering, shared by every predictor) and
+//! [`simpoint_streamed_chained`] (the sampled simulation of one kind).
 //!
-//! * k-means++ seeding and any sampling draw from ibp-testkit's seeded
-//!   SplitMix64 PRNG ([`SimPointConfig::seed`], fixed default);
-//! * assignment ties break toward the **lowest cluster index**, and
-//!   representative ties toward the **lowest window index**;
+//! Everything is deterministic by construction:
+//!
+//! * k-means++ seeding draws from ibp-testkit's SplitMix64 PRNG seeded
+//!   with [`SIMPOINT_SEED`];
+//! * assignment ties break toward the **lowest cluster index**, and a
+//!   unit's representative is its stratum's middle member in time order;
 //! * Lloyd iterations run a fixed budget with a fixed f64 accumulation
 //!   order; empty clusters keep their previous centroid and are dropped
 //!   (deterministically, preserving order) from the final phase set;
-//! * representative windows simulate in parallel on an
-//!   [`Executor`], whose results commit in task order.
+//! * the sampled simulation is serial: one predictor walks the units in
+//!   time order.
 //!
 //! See DESIGN.md §13 for the window/warmup policy and the error-bound
 //! methodology; `simbench` regenerates the committed weighted-vs-full
@@ -31,17 +34,19 @@
 
 use crate::runner::{simulate_stream, RunResult};
 use crate::zoo::PredictorKind;
-use ibp_exec::{Executor, FastHash};
-use ibp_metrics::{Log2Histogram, MetricsSnapshot};
+use ibp_exec::FastHash;
 use ibp_predictors::IndirectPredictor;
 use ibp_testkit::TestRng;
-use ibp_trace::{BranchEvent, Trace};
+use ibp_trace::BranchEvent;
 use ibp_workloads::ModelStream;
 
-/// Default PRNG seed for k-means++ seeding ("SIMPOINT" in ASCII). Part of
-/// the estimator's identity: the suite_pins regression pins estimates
+/// PRNG seed for k-means++ seeding ("SIMPOINT" in ASCII). Part of the
+/// estimator's identity: the suite_pins regression pins estimates
 /// produced under this seed.
 pub const SIMPOINT_SEED: u64 = 0x53494D50_4F494E54;
+
+/// Lloyd iteration budget for k-means (it exits early at a fixed point).
+const KMEANS_ITERS: usize = 25;
 
 /// Checkpoint spacing of the streaming path, in windows: pass 1 clones
 /// the generator every this-many windows so pass 2 can resume near any
@@ -55,91 +60,37 @@ pub struct SimPointConfig {
     pub k: usize,
     /// Events per window.
     pub window: usize,
-    /// Functional-warmup length, in windows replayed (uncounted) before
-    /// each representative. Zero is the declared cold-start policy: every
-    /// representative starts from a fresh predictor, exactly like the
-    /// head of a full run. The default is deep (96 windows ≈ 200K events)
-    /// because the PPM tables carry long-range state: a full run's tables
-    /// accumulate aliasing pollution that a freshly-warmed predictor does
-    /// not have, so short warmups systematically *over*-predict (estimate
-    /// below the full run) — warmup must cover the predictor's memory
-    /// horizon, not just fill the hot entries.
+    /// Re-sync warmup before each measured window, in windows: the tail
+    /// of the gap since the previous unit, replayed uncounted through
+    /// the carried predictor (never re-feeding events an earlier unit
+    /// played). The carried state keeps the long-range component, so the
+    /// warmup only has to repair recency — histories and recently used
+    /// entries.
     pub warmup_windows: usize,
     /// Sampling units per cluster: each cluster's members are split (in
     /// window order) into up to this many strata, and each stratum is
     /// simulated at its middle member with the stratum size as weight.
-    /// One stratum is classic SimPoint (centroid-nearest representative);
-    /// more strata trade simulation for variance — the centroid-nearest
-    /// window is systematically a *stable* one, which under-counts
-    /// transient mispredictions (target switches, cold start), and
-    /// stratifying in time order removes that selection bias.
+    /// One stratum is classic one-representative-per-cluster SimPoint;
+    /// more strata trade simulation for variance — a recurring phase is
+    /// sampled across its whole extent, not at one stable point, which
+    /// would under-count transient mispredictions (target switches).
     pub strata: usize,
     /// Signature dimensions (hash buckets over (pc, target) pairs).
     pub dims: usize,
-    /// Lloyd iteration budget for k-means.
-    pub kmeans_iters: usize,
-    /// PRNG seed for k-means++ seeding.
-    pub seed: u64,
 }
 
 impl Default for SimPointConfig {
+    /// The preset every estimate in the repository runs with. The carried
+    /// predictor leaves the warmup only recency to repair, so 16 windows
+    /// suffice, and the budget that frees buys 16 strata per cluster.
     fn default() -> Self {
         Self {
             k: 12,
             window: 2048,
-            warmup_windows: 96,
-            strata: 8,
+            warmup_windows: 16,
+            strata: 16,
             dims: 64,
-            kmeans_iters: 25,
-            seed: SIMPOINT_SEED,
         }
-    }
-}
-
-impl SimPointConfig {
-    /// A config with the given cluster count and window size, defaults
-    /// elsewhere.
-    pub fn new(k: usize, window: usize) -> Self {
-        Self {
-            k,
-            window,
-            ..Self::default()
-        }
-    }
-
-    /// Parses the CLI flag payload
-    /// `k=K,window=W[,warmup=N][,strata=R][,dims=D]` (any order, all
-    /// fields optional, defaults elsewhere).
-    pub fn parse_flag(s: &str) -> Result<Self, String> {
-        let mut cfg = Self::default();
-        for part in s.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
-            let n: usize = value
-                .parse()
-                .map_err(|_| format!("bad value for {key}: {value:?}"))?;
-            match key {
-                "k" => cfg.k = n,
-                "window" => cfg.window = n,
-                "warmup" => cfg.warmup_windows = n,
-                "strata" => cfg.strata = n,
-                "dims" => cfg.dims = n,
-                _ => return Err(format!("unknown simpoint key {key:?}")),
-            }
-        }
-        if cfg.k == 0 || cfg.window == 0 || cfg.dims == 0 || cfg.strata == 0 {
-            return Err("k, window, strata and dims must be positive".to_string());
-        }
-        Ok(cfg)
-    }
-
-    /// Renders the flag payload this config parses from.
-    pub fn flag_string(&self) -> String {
-        format!(
-            "k={},window={},warmup={},strata={},dims={}",
-            self.k, self.window, self.warmup_windows, self.strata, self.dims
-        )
     }
 }
 
@@ -268,15 +219,6 @@ impl SignatureBuilder {
     }
 }
 
-/// Builds the signature set of a materialized trace.
-pub fn signatures_of(trace: &Trace, cfg: &SimPointConfig) -> SignatureSet {
-    let mut b = SignatureBuilder::new(cfg);
-    for e in trace.iter() {
-        b.observe_event(e);
-    }
-    b.finish()
-}
-
 /// One sampling unit: a stratum of one cluster's behaviorally similar
 /// windows, stood in for by its representative.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,7 +265,7 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Clusters a signature set into phases with deterministic k-means
-/// (k-means++ seeding from the config's seed, fixed Lloyd budget,
+/// (k-means++ seeding from [`SIMPOINT_SEED`], fixed Lloyd budget,
 /// lowest-index tie-breaks), then splits each cluster into up to
 /// `cfg.strata` time-ordered sampling units. `k` is clamped to the
 /// window count; empty streams produce an empty phase set.
@@ -344,7 +286,7 @@ pub fn cluster_signatures(set: &SignatureSet, cfg: &SimPointConfig) -> Phases {
     // k-means++ seeding: first center uniform, later centers
     // proportional to squared distance from the chosen set. Identical
     // points (distance mass zero) fall back to the lowest unchosen index.
-    let mut rng = TestRng::new(cfg.seed);
+    let mut rng = TestRng::new(SIMPOINT_SEED);
     let mut chosen = vec![false; n];
     let first = rng.gen_range(0..n as u64) as usize;
     chosen[first] = true;
@@ -397,7 +339,7 @@ pub fn cluster_signatures(set: &SignatureSet, cfg: &SimPointConfig) -> Phases {
     // assignment reaches a fixed point.
     let dims = set.dims;
     let mut assign = vec![0u32; n];
-    for _ in 0..cfg.kmeans_iters.max(1) {
+    for _ in 0..KMEANS_ITERS {
         let mut changed = false;
         for i in 0..n {
             let mut best = 0usize;
@@ -515,10 +457,10 @@ where
 
 /// Simulates one representative window: functional warmup over
 /// `warmup`, then the measured window through the canonical counted
-/// loop. This is the per-task unit the sampled paths fan out on an
-/// [`Executor`], and a certified panic/alloc-freedom root (L007/L008):
-/// steady-state sampling must uphold the same guarantees as the full
-/// simulation loop it stands in for.
+/// loop. This is the per-unit step of [`simpoint_streamed_chained`], and
+/// a certified panic/alloc-freedom root (L007/L008): steady-state
+/// sampling must uphold the same guarantees as the full simulation loop
+/// it stands in for.
 pub fn simulate_window<P, I, J>(predictor: &mut P, warmup: I, window: J) -> RunResult
 where
     P: IndirectPredictor + ?Sized,
@@ -611,118 +553,6 @@ fn weighted_merge(
     }
 }
 
-/// Phase-sampled simulation of a materialized trace: representative
-/// windows simulate in parallel on `exec` (results commit in cluster
-/// order, so the estimate is pool-size invariant).
-pub fn simpoint_trace(
-    kind: PredictorKind,
-    entries: usize,
-    trace: &Trace,
-    cfg: &SimPointConfig,
-    exec: &Executor,
-) -> SimPointRun {
-    let set = signatures_of(trace, cfg);
-    let phases = cluster_signatures(&set, cfg);
-    simpoint_from_phases(kind, entries, trace, &phases, cfg, exec)
-}
-
-/// [`simpoint_trace`] with a precomputed clustering — the grid path:
-/// signatures and phases are predictor-independent, so a figure evaluates
-/// the clustering once and estimates every predictor from it.
-pub fn simpoint_from_phases(
-    kind: PredictorKind,
-    entries: usize,
-    trace: &Trace,
-    phases: &Phases,
-    cfg: &SimPointConfig,
-    exec: &Executor,
-) -> SimPointRun {
-    let events = trace.events();
-    let spans: Vec<(usize, usize, usize)> = phases
-        .clusters
-        .iter()
-        .map(|c| window_span(c.representative, events.len(), cfg))
-        .collect();
-    let results = exec.map(&spans, |_, &(w0, m0, m1)| {
-        kind.simulate_simpoint_window(entries, &events[w0..m0], &events[m0..m1])
-    });
-    weighted_merge(&kind.label(), phases, &results, &spans)
-}
-
-/// [`simpoint_from_phases`] for an arbitrary predictor builder — the
-/// sweep path, where the lineup is built from hand-tuned configs rather
-/// than [`PredictorKind`]s. `build` runs once per representative window
-/// (on the pool), so it must produce identically-configured fresh
-/// predictors.
-pub fn simpoint_with<P, F>(
-    label: &str,
-    build: F,
-    trace: &Trace,
-    phases: &Phases,
-    cfg: &SimPointConfig,
-    exec: &Executor,
-) -> SimPointRun
-where
-    P: IndirectPredictor,
-    F: Fn() -> P + Sync,
-{
-    let events = trace.events();
-    let spans: Vec<(usize, usize, usize)> = phases
-        .clusters
-        .iter()
-        .map(|c| window_span(c.representative, events.len(), cfg))
-        .collect();
-    let results = exec.map(&spans, |_, &(w0, m0, m1)| {
-        let mut p = build();
-        simulate_window(
-            &mut p,
-            events[w0..m0].iter().copied(),
-            events[m0..m1].iter().copied(),
-        )
-    });
-    weighted_merge(label, phases, &results, &spans)
-}
-
-/// The estimate grid of [`compare_grid_with`](crate::compare::compare_grid_with):
-/// every kind × run cell phase-sampled at `entries` total table entries.
-/// Signatures and clustering are predictor-independent, so each run is
-/// clustered once and shared across the whole predictor lineup. Returns
-/// the estimate grid plus the underlying sampled runs in row-major
-/// (run, then predictor) order — the telemetry path feeds those to
-/// [`simpoint_snapshot`].
-pub fn simpoint_grid_with(
-    exec: &Executor,
-    kinds: &[PredictorKind],
-    entries: usize,
-    runs: &[ibp_workloads::BenchmarkRun],
-    scale: f64,
-    cfg: &SimPointConfig,
-) -> (crate::compare::GridResult, Vec<SimPointRun>) {
-    let predictors: Vec<String> = kinds.iter().map(|k| k.label()).collect();
-    let run_labels: Vec<String> = runs.iter().map(|r| r.label()).collect();
-    let traces: Vec<Trace> = exec.map(runs, |_, run| crate::compare::generate_trace(run, scale));
-    let phases: Vec<Phases> =
-        exec.map(&traces, |_, t| cluster_signatures(&signatures_of(t, cfg), cfg));
-    let mut cells = Vec::with_capacity(traces.len() * kinds.len());
-    let mut sampled = Vec::with_capacity(traces.len() * kinds.len());
-    for (ri, trace) in traces.iter().enumerate() {
-        for &kind in kinds {
-            let run = simpoint_from_phases(kind, entries, trace, &phases[ri], cfg, exec);
-            cells.push(crate::compare::GridCell {
-                run: run_labels[ri].clone(),
-                predictor: run.estimate.predictor.clone(),
-                ratio: run.estimate.misprediction_ratio(),
-                predictions: run.estimate.predictions,
-            });
-            sampled.push(run);
-        }
-    }
-    (
-        crate::compare::GridResult::from_parts(predictors, run_labels, cells),
-        sampled,
-    )
-}
-
 /// The predictor-independent half of a streamed sampled run: window
 /// signatures, the clustering, and generator checkpoints. Built once by
 /// [`stream_prep`] and shared across a whole predictor lineup — the
@@ -739,11 +569,6 @@ impl StreamPrep {
     /// The clustering the estimates will be computed from.
     pub fn phases(&self) -> &Phases {
         &self.phases
-    }
-
-    /// Iterations of the generator covered by the signature pass.
-    pub fn iterations(&self) -> u64 {
-        self.iterations
     }
 }
 
@@ -772,67 +597,19 @@ pub fn stream_prep(stream: &ModelStream, iterations: u64, cfg: &SimPointConfig) 
     }
 }
 
-/// Pass 2 of the streamed path: regenerates only each representative's
-/// warmup + measured span from the nearest checkpoint and simulates those
-/// spans in parallel.
-pub fn simpoint_streamed_prepped(
-    kind: PredictorKind,
-    entries: usize,
-    prep: &StreamPrep,
-    cfg: &SimPointConfig,
-    exec: &Executor,
-) -> SimPointRun {
-    let total = prep.phases.total_events as usize;
-    let iterations = prep.iterations;
-    let spans: Vec<(usize, usize, usize)> = prep
-        .phases
-        .clusters
-        .iter()
-        .map(|c| window_span(c.representative, total, cfg))
-        .collect();
-    let results = exec.map(&spans, |_, &(w0, m0, m1)| {
-        // Resume from the last checkpoint at or before the warmup start
-        // and route regenerated events into the warm/measured buffers.
-        let cp = prep
-            .checkpoints
-            .iter()
-            .rev()
-            .find(|cp| cp.events_emitted() <= w0 as u64)
-            .unwrap_or(&prep.checkpoints[0]);
-        let mut gen = cp.clone();
-        let mut idx = gen.events_emitted() as usize;
-        let mut warm = Vec::with_capacity(m0 - w0);
-        let mut meas = Vec::with_capacity(m1 - m0);
-        while idx < m1 && gen.iterations_done() < iterations {
-            gen.step(|e| {
-                if idx >= w0 && idx < m0 {
-                    warm.push(e);
-                } else if idx >= m0 && idx < m1 {
-                    meas.push(e);
-                }
-                idx += 1;
-            });
-        }
-        kind.simulate_simpoint_window(entries, &warm, &meas)
-    });
-    weighted_merge(&kind.label(), &prep.phases, &results, &spans)
-}
-
-/// The **stitched** streamed estimator: one predictor instance per kind,
-/// driven through every sampling unit in time order with state carried
-/// across units, each unit re-synced by a short functional warmup over
-/// the tail of the skipped gap before it. This is the ISSUE's
-/// "functional-warmup predictor state through skipped regions" policy,
-/// and it exists because the cold-start policy has a blind spot on very
-/// long streams: predictors whose tables saturate monotonically (the
-/// cascade filter, PPM's longest orders) accumulate pollution over 10⁸+
-/// events that no fixed warmup can reproduce, so freshly-warmed
-/// representatives systematically over-predict. Carrying state forward
-/// keeps that long-range component; the short warmup only has to repair
-/// recency (histories, recently-used entries), so `cfg.warmup_windows`
-/// can stay small and the sampled fraction tiny. Sequential by
-/// construction (state is the whole point), hence trivially
-/// deterministic for any pool size.
+/// Pass 2 of the streamed path: the sampled simulation of one kind. One
+/// predictor instance is driven through every sampling unit in time
+/// order with state carried across units; each unit is re-synced by a
+/// short functional warmup over the tail of the skipped gap before it
+/// (`cfg.warmup_windows`, cut short so no event an earlier unit played
+/// is fed twice), then its window is measured. Carrying state forward
+/// keeps the long-range component that predictors whose tables saturate
+/// monotonically (the cascade filter, PPM's longest orders) build up
+/// over a long stream, and that no fixed warmup of a fresh predictor
+/// reproduces; the short warmup only has to repair recency (histories,
+/// recently used entries). Units never overlap, so a run simulates at
+/// most the whole stream — and exactly the full run when every window
+/// is its own unit. Sequential by construction, hence deterministic.
 pub fn simpoint_streamed_chained(
     kind: PredictorKind,
     entries: usize,
@@ -879,76 +656,36 @@ pub fn simpoint_streamed_chained(
                 idx += 1;
             });
         }
-        results[slot] = simulate_window(predictor.as_mut(), warm.into_iter(), meas.into_iter());
+        results[slot] = simulate_window(predictor.as_mut(), warm, meas);
         spans[slot] = (w0, m0, m1);
         prev_end = m1;
     }
     weighted_merge(&kind.label(), &prep.phases, &results, &spans)
 }
 
-/// Phase-sampled simulation of a **streamed** workload — the 100M+ event
-/// path: [`stream_prep`] then [`simpoint_streamed_prepped`]. The estimate
-/// is bit-identical to [`simpoint_trace`] over the materialized trace of
-/// the same run (the property suite pins this). Estimating several
-/// predictors over one workload should share a single [`stream_prep`]
-/// instead.
-pub fn simpoint_streamed(
-    kind: PredictorKind,
-    entries: usize,
-    stream: &ModelStream,
-    iterations: u64,
-    cfg: &SimPointConfig,
-    exec: &Executor,
-) -> SimPointRun {
-    let prep = stream_prep(stream, iterations, cfg);
-    simpoint_streamed_prepped(kind, entries, &prep, cfg, exec)
-}
-
-/// Telemetry for one sampled run: cluster weights (histogram + max),
-/// intra-cluster variance, coverage counters, and — when the exact ratio
-/// is known — the absolute estimate error. Ratios are scaled to parts
-/// per million to fit the integer counter plane.
-pub fn simpoint_snapshot(run: &SimPointRun, exact_ratio: Option<f64>) -> MetricsSnapshot {
-    let mut snap = MetricsSnapshot::new();
-    snap.add_counter("simpoint_windows", run.phases.windows() as u64);
-    snap.add_counter("simpoint_clusters", run.phases.clusters.len() as u64);
-    snap.add_counter("simpoint_events_total", run.phases.total_events);
-    snap.add_counter("simpoint_events_measured", run.events_measured);
-    snap.add_counter("simpoint_events_simulated", run.events_simulated);
-    snap.add_counter("simpoint_weighted_predictions", run.estimate.predictions);
-    snap.add_counter(
-        "simpoint_weighted_mispredictions",
-        run.estimate.mispredictions,
-    );
-    snap.add_counter(
-        "simpoint_intra_variance_ppm",
-        (run.phases.intra_variance * 1e6).round() as u64,
-    );
-    let mut weights = Log2Histogram::new();
-    for cluster in &run.phases.clusters {
-        weights.record(cluster.weight);
-        snap.record_max("simpoint_max_cluster_weight", cluster.weight);
-    }
-    snap.merge_histogram("simpoint_cluster_weights", &weights);
-    if let Some(exact) = exact_ratio {
-        let err = (run.estimate.misprediction_ratio() - exact).abs();
-        snap.add_counter("simpoint_estimate_error_ppm", (err * 1e6).round() as u64);
-    }
-    snap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ibp_isa::Addr;
+    use ibp_trace::Trace;
 
     fn cfg(k: usize, window: usize) -> SimPointConfig {
         // Single-stratum config: classic one-representative-per-cluster
         // SimPoint, which is what the phase-recovery assertions pin.
         SimPointConfig {
+            k,
+            window,
             strata: 1,
-            ..SimPointConfig::new(k, window)
+            ..SimPointConfig::default()
         }
+    }
+
+    fn signature_set(trace: &Trace, cfg: &SimPointConfig) -> SignatureSet {
+        let mut b = SignatureBuilder::new(cfg);
+        for e in trace.iter() {
+            b.observe_event(e);
+        }
+        b.finish()
     }
 
     fn two_phase_trace() -> Trace {
@@ -970,14 +707,14 @@ mod tests {
     #[test]
     fn signatures_count_windows_and_events() {
         let trace = two_phase_trace();
-        let set = signatures_of(&trace, &cfg(2, 100));
+        let set = signature_set(&trace, &cfg(2, 100));
         assert_eq!(set.windows(), 8);
         assert_eq!(set.total_events(), 800);
         assert_eq!(set.total_mt(), 800);
         let event_sum: u64 = set.signatures().iter().map(|s| s.events as u64).sum();
         assert_eq!(event_sum, 800);
         // Partial last window keeps its real size.
-        let set = signatures_of(&trace, &cfg(2, 300));
+        let set = signature_set(&trace, &cfg(2, 300));
         assert_eq!(set.windows(), 3);
         assert_eq!(set.signatures()[2].events, 200);
     }
@@ -985,7 +722,7 @@ mod tests {
     #[test]
     fn clustering_recovers_the_phases() {
         let trace = two_phase_trace();
-        let set = signatures_of(&trace, &cfg(2, 100));
+        let set = signature_set(&trace, &cfg(2, 100));
         let phases = cluster_signatures(&set, &cfg(2, 100));
         assert_eq!(phases.clusters.len(), 2);
         let weights: Vec<u64> = phases.clusters.iter().map(|c| c.weight).collect();
@@ -1004,9 +741,9 @@ mod tests {
         let trace = two_phase_trace();
         let c = SimPointConfig {
             strata: 2,
-            ..SimPointConfig::new(2, 100)
+            ..cfg(2, 100)
         };
-        let set = signatures_of(&trace, &c);
+        let set = signature_set(&trace, &c);
         let phases = cluster_signatures(&set, &c);
         // Two phases of four windows, two strata each: four units of
         // weight two, and each unit's representative sits inside it.
@@ -1027,7 +764,7 @@ mod tests {
     #[test]
     fn k_clamps_to_window_count() {
         let trace = two_phase_trace();
-        let set = signatures_of(&trace, &cfg(64, 100));
+        let set = signature_set(&trace, &cfg(64, 100));
         let phases = cluster_signatures(&set, &cfg(64, 100));
         assert!(phases.clusters.len() <= 8);
         let weight_sum: u64 = phases.clusters.iter().map(|c| c.weight).sum();
@@ -1036,18 +773,13 @@ mod tests {
 
     #[test]
     fn empty_stream_is_empty_phases() {
-        let set = signatures_of(&Trace::new(), &SimPointConfig::default());
-        let phases = cluster_signatures(&set, &SimPointConfig::default());
+        let c = SimPointConfig::default();
+        let phases = cluster_signatures(&SignatureBuilder::new(&c).finish(), &c);
         assert_eq!(phases.windows(), 0);
         assert!(phases.clusters.is_empty());
-        let exec = Executor::new(1);
-        let run = simpoint_trace(
-            PredictorKind::Btb,
-            2048,
-            &Trace::new(),
-            &SimPointConfig::default(),
-            &exec,
-        );
+        let prep = stream_prep(&ibp_workloads::paper_suite()[0].stream(), 0, &c);
+        assert_eq!(prep.phases(), &phases);
+        let run = simpoint_streamed_chained(PredictorKind::Btb, 2048, &prep, &c);
         assert_eq!(run.estimate.predictions, 0);
         assert_eq!(run.estimate.misprediction_ratio(), 0.0);
         assert_eq!(run.sampled_fraction(), 0.0);
@@ -1055,31 +787,19 @@ mod tests {
 
     #[test]
     fn single_window_estimate_equals_full_run() {
-        // A stream shorter than one window has exactly one cluster of
-        // weight one whose representative is the whole stream: the
-        // estimate must equal the full simulation, bit for bit.
-        let trace = two_phase_trace();
-        let c = cfg(4, 4096);
-        let exec = Executor::new(1);
-        let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &c, &exec);
-        let full = PredictorKind::PpmHyb.simulate_events(2048, trace.iter().copied());
+        // A stream shorter than one window has exactly one unit of weight
+        // one whose representative is the whole stream: the estimate must
+        // equal the full simulation, bit for bit.
+        let stream = ibp_workloads::paper_suite()[0].stream();
+        let c = cfg(4, 1 << 16);
+        let prep = stream_prep(&stream, 2, &c);
+        assert!(prep.phases().total_events < c.window as u64);
+        let sampled = simpoint_streamed_chained(PredictorKind::PpmHyb, 2048, &prep, &c);
+        let full = PredictorKind::PpmHyb.simulate_events(2048, stream.events(2));
         assert_eq!(sampled.phases.clusters.len(), 1);
         assert_eq!(sampled.estimate.predictions, full.predictions());
         assert_eq!(sampled.estimate.mispredictions, full.mispredictions());
-    }
-
-    #[test]
-    fn parse_flag_round_trips_and_rejects() {
-        let c = SimPointConfig::parse_flag("k=8,window=1024").unwrap();
-        assert_eq!((c.k, c.window), (8, 1024));
-        assert_eq!(c.warmup_windows, SimPointConfig::default().warmup_windows);
-        let c2 = SimPointConfig::parse_flag(&c.flag_string()).unwrap();
-        assert_eq!(c, c2);
-        let c = SimPointConfig::parse_flag("window=512,warmup=2,k=3,dims=32").unwrap();
-        assert_eq!((c.k, c.window, c.warmup_windows, c.dims), (3, 512, 2, 32));
-        for bad in ["k", "k=0", "window=0", "k=x", "depth=3", "k=1;window=2"] {
-            assert!(SimPointConfig::parse_flag(bad).is_err(), "{bad:?}");
-        }
+        assert_eq!(sampled.events_simulated, prep.phases().total_events);
     }
 
     #[test]
@@ -1092,22 +812,5 @@ mod tests {
         assert_eq!(window_span(0, 1000, &c), (0, 0, 100));
         assert_eq!(window_span(2, 1000, &c), (0, 200, 300));
         assert_eq!(window_span(9, 950, &c), (500, 900, 950));
-    }
-
-    #[test]
-    fn snapshot_reports_weights_and_error() {
-        let trace = two_phase_trace();
-        let exec = Executor::new(1);
-        let run = simpoint_trace(PredictorKind::Btb, 2048, &trace, &cfg(2, 100), &exec);
-        let full = PredictorKind::Btb.simulate_events(2048, trace.iter().copied());
-        let snap = simpoint_snapshot(&run, Some(full.misprediction_ratio()));
-        assert_eq!(snap.counter("simpoint_windows"), 8);
-        assert_eq!(snap.counter("simpoint_clusters"), 2);
-        assert_eq!(snap.counter("simpoint_events_total"), 800);
-        assert!(snap.counter("simpoint_weighted_predictions") > 0);
-        // 2 clusters of weight 4 → histogram count 2, total 8.
-        let h = snap.histogram("simpoint_cluster_weights").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.total(), 8);
     }
 }

@@ -284,31 +284,6 @@ impl PredictorKind {
         })
     }
 
-    /// Simulates one phase-sampling representative window (functional
-    /// warmup, then the counted window — see
-    /// [`simulate_window`](crate::simpoint::simulate_window)) with both
-    /// loops monomorphized over the concrete predictor. This is the task
-    /// the sampled grid fans out per cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is outside `64..=`[`MAX_BUILD_ENTRIES`].
-    pub fn simulate_simpoint_window(
-        self,
-        entries: usize,
-        warmup: &[BranchEvent],
-        window: &[BranchEvent],
-    ) -> RunResult {
-        dispatch_kind!(self, entries, make => {
-            let mut p = make();
-            crate::simpoint::simulate_window(
-                &mut p,
-                warmup.iter().copied(),
-                window.iter().copied(),
-            )
-        })
-    }
-
     /// Builds a batched session stepper for the serving layer: the
     /// per-event loop inside is monomorphized over the concrete
     /// predictor type (these same arms), so a resident stream pays one
@@ -442,7 +417,7 @@ impl PredictorKind {
     pub fn from_cli_name(name: &str) -> Option<PredictorKind> {
         if let Some(depth) = name.strip_prefix("oracle-pib:") {
             let depth: u8 = depth.parse().ok()?;
-            return if depth >= 1 && depth <= 0x7F {
+            return if (1..=0x7F).contains(&depth) {
                 Some(PredictorKind::OraclePib(depth))
             } else {
                 None
@@ -684,8 +659,6 @@ mod tests {
     #[test]
     fn monomorphized_simulation_matches_dyn_dispatch() {
         let trace = ibp_workloads::paper_suite()[0].generate_scaled(0.05);
-        let events: Vec<BranchEvent> = trace.iter().copied().collect();
-        let (warmup, window) = events.split_at(events.len() / 2);
         for kind in PredictorKind::serve_lineup() {
             for entries in [512, 2048] {
                 let dynamic = simulate(&mut *kind.build_with_entries(entries), &trace);
@@ -694,16 +667,6 @@ mod tests {
                 if entries == 2048 {
                     assert_eq!(kind.simulate_trace(&trace), dynamic, "{kind:?}");
                 }
-                let windowed = crate::simpoint::simulate_window(
-                    &mut *kind.build_with_entries(entries),
-                    warmup.iter().copied(),
-                    window.iter().copied(),
-                );
-                assert_eq!(
-                    kind.simulate_simpoint_window(entries, warmup, window),
-                    windowed,
-                    "{kind:?} @ {entries}: window"
-                );
             }
         }
     }

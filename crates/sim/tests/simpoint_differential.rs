@@ -3,14 +3,13 @@
 //! track the full simulation within the hard error gate — the same
 //! ≤ 0.5 pp absolute bound the full-scale committed report
 //! (`results/simpoint_validation.txt`, regenerated by `simbench` under
-//! verify.sh) holds. This in-tree copy runs at a
-//! reduced trace scale with a proportionally smaller window so the
-//! whole 15-run differential stays fast in debug builds; the estimator
-//! configuration scales with it (same cluster count and stratification,
-//! warmup covering the same fraction of the stream).
+//! verify.sh) holds. This in-tree copy runs each run's stream at a
+//! reduced scale with a proportionally smaller window so the whole
+//! 15-run differential stays fast in debug builds; the rest of the
+//! estimator configuration is the default (same cluster count, warmup
+//! and stratification).
 
-use ibp_exec::Executor;
-use ibp_sim::{simpoint_trace, PredictorKind, SimPointConfig};
+use ibp_sim::{simpoint_streamed_chained, stream_prep, PredictorKind, SimPointConfig};
 use ibp_workloads::paper_suite;
 
 const SCALE: f64 = 0.1;
@@ -19,22 +18,23 @@ const GATE_PP: f64 = 0.5;
 fn cfg() -> SimPointConfig {
     SimPointConfig {
         window: 512,
-        warmup_windows: 48,
-        strata: 8,
+        warmup_windows: 16,
+        strata: 16,
         ..SimPointConfig::default()
     }
 }
 
 #[test]
 fn weighted_estimate_tracks_full_run_on_every_suite_run() {
-    let exec = Executor::new(2);
     let cfg = cfg();
     let mut worst = 0.0f64;
     let mut worst_run = String::new();
     for run in paper_suite() {
-        let trace = run.generate_scaled(SCALE);
-        let full = PredictorKind::PpmHyb.simulate_events(2048, trace.iter().copied());
-        let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &cfg, &exec);
+        let stream = run.stream();
+        let iterations = run.scaled_iterations(SCALE) as u64;
+        let full = PredictorKind::PpmHyb.simulate_events(2048, stream.clone().events(iterations));
+        let prep = stream_prep(&stream, iterations, &cfg);
+        let sampled = simpoint_streamed_chained(PredictorKind::PpmHyb, 2048, &prep, &cfg);
         let err =
             (sampled.estimate.misprediction_ratio() - full.misprediction_ratio()).abs() * 100.0;
         println!(
@@ -59,7 +59,7 @@ fn weighted_estimate_tracks_full_run_on_every_suite_run() {
         // and is then exact by construction.)
         if sampled.phases.windows() > sampled.phases.clusters.len() {
             assert!(
-                sampled.events_measured < trace.len() as u64,
+                sampled.events_measured < sampled.phases.total_events,
                 "{}: sampling measured the whole stream",
                 run.label()
             );

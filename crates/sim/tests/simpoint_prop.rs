@@ -1,33 +1,30 @@
 //! SimPoint phase-sampling property wall (see DESIGN.md §13).
 //!
-//! Three contracts, each falsifiable on small random inputs:
+//! Four contracts of the estimator (`stream_prep` then
+//! `simpoint_streamed_chained`), each falsifiable on small random inputs:
 //!
-//! * **Determinism** — signatures, clustering and the weighted estimate
-//!   are bit-identical for any pool size and across repeated runs; the
-//!   streamed path (signatures + checkpoint regeneration) reproduces the
-//!   materialized-trace path exactly, and the chained-warmup estimator
-//!   is stable across repeats.
+//! * **Determinism** — the streamed signature pass clusters exactly as a
+//!   signature pass over the materialized trace does, and the estimate is
+//!   bit-identical across repeated runs.
+//! * **Work and exactness** — a run never simulates more events than the
+//!   stream holds, and when every window is its own sampling unit the
+//!   estimate is the full run, count for count.
 //! * **Signature/weight invariants** — cluster weights partition the
 //!   window set (they sum to the window count), every window is assigned
 //!   to a valid sampling unit, representatives are members of their own
 //!   unit.
-//! * **Degenerate inputs** — empty traces, traces shorter than one
+//! * **Degenerate inputs** — empty streams, streams shorter than one
 //!   window, and `k` larger than the window count all clamp instead of
 //!   panicking, and the estimate still reproduces the only windows that
 //!   exist.
 
-use ibp_exec::Executor;
 use ibp_sim::{
-    cluster_signatures, signatures_of, simpoint_from_phases, simpoint_streamed,
-    simpoint_streamed_chained, simpoint_trace, stream_prep, PredictorKind, SimPointConfig,
+    cluster_signatures, simpoint_streamed_chained, stream_prep, PredictorKind, SignatureBuilder,
+    SignatureSet, SimPointConfig,
 };
 use ibp_testkit::{prop_assert, prop_assert_eq, Prop, TestRng};
-use ibp_trace::Trace;
-use ibp_workloads::paper_suite;
-
-/// Serial, smallest concurrent, oversubscribed — the same ladder as the
-/// grid determinism wall.
-const POOL_SIZES: [usize; 3] = [1, 2, 8];
+use ibp_trace::BranchEvent;
+use ibp_workloads::{paper_suite, ModelStream};
 
 fn small_cfg(k: usize, window: usize) -> SimPointConfig {
     SimPointConfig {
@@ -36,7 +33,6 @@ fn small_cfg(k: usize, window: usize) -> SimPointConfig {
         warmup_windows: 2,
         strata: 2,
         dims: 32,
-        ..SimPointConfig::default()
     }
 }
 
@@ -49,79 +45,125 @@ fn gen_case(rng: &mut TestRng) -> (usize, u8, usize, usize) {
     (run, scale_milli, k, window)
 }
 
+/// The stream of suite run `run` and its iteration count at
+/// `scale_milli` thousandths of full scale.
+fn case_stream(run: usize, scale_milli: u8) -> (ModelStream, u64) {
+    let spec = &paper_suite()[run];
+    let iterations = spec.scaled_iterations(f64::from(scale_milli) / 1000.0) as u64;
+    (spec.stream(), iterations)
+}
+
+/// The signature set of a materialized event sequence.
+fn signature_set(events: &[BranchEvent], cfg: &SimPointConfig) -> SignatureSet {
+    let mut b = SignatureBuilder::new(cfg);
+    for e in events {
+        b.observe_event(e);
+    }
+    b.finish()
+}
+
 #[test]
-fn sampled_run_is_bit_identical_across_pool_sizes_and_repeats() {
-    let suite = paper_suite();
-    Prop::new("simpoint determinism across pool sizes")
+fn streamed_path_reproduces_trace_path_exactly() {
+    // The streamed prep sees the same events through a resumable
+    // generator, so its clustering must be bit-identical to one built
+    // from the materialized trace, and the estimate over it must be
+    // repeat-stable, whether the prep is reused or rebuilt.
+    Prop::new("streamed == trace-based sampling")
+        .cases(4)
+        .run(gen_case, |&(run, scale_milli, k, window)| {
+            let (stream, iterations) = case_stream(run, scale_milli);
+            let events: Vec<BranchEvent> = stream.clone().events(iterations).collect();
+            let cfg = small_cfg(k, window);
+            let from_trace = cluster_signatures(&signature_set(&events, &cfg), &cfg);
+
+            let prep = stream_prep(&stream, iterations, &cfg);
+            prop_assert_eq!(prep.phases(), &from_trace, "streamed clustering, run {}", run);
+            let chained = simpoint_streamed_chained(PredictorKind::Cascade, 2048, &prep, &cfg);
+            prop_assert_eq!(&chained.phases, &from_trace, "chained clustering, run {}", run);
+            let again = simpoint_streamed_chained(PredictorKind::Cascade, 2048, &prep, &cfg);
+            prop_assert_eq!(&chained, &again, "chained repeat, run {}", run);
+            let rebuilt = stream_prep(&stream, iterations, &cfg);
+            let fresh = simpoint_streamed_chained(PredictorKind::Cascade, 2048, &rebuilt, &cfg);
+            prop_assert_eq!(&chained, &fresh, "chained on a rebuilt prep, run {}", run);
+            Ok(())
+        });
+}
+
+#[test]
+fn chained_estimate_never_simulates_more_than_the_stream() {
+    // Units never overlap and a unit's warmup stops where the previous
+    // unit ended, so no event is fed twice: the sampled work is bounded
+    // by the exact run's.
+    Prop::new("simulated <= total, measured <= simulated")
+        .cases(8)
+        .run(gen_case, |&(run, scale_milli, k, window)| {
+            let (stream, iterations) = case_stream(run, scale_milli);
+            let cfg = small_cfg(k, window);
+            let prep = stream_prep(&stream, iterations, &cfg);
+            let sampled = simpoint_streamed_chained(PredictorKind::PpmHyb, 2048, &prep, &cfg);
+            let total = sampled.phases.total_events;
+            prop_assert!(
+                sampled.events_simulated <= total,
+                "run {run}: simulated {} of {total} events",
+                sampled.events_simulated
+            );
+            prop_assert!(
+                sampled.events_measured <= sampled.events_simulated,
+                "run {run}: measured {} > simulated {}",
+                sampled.events_measured,
+                sampled.events_simulated
+            );
+            Ok(())
+        });
+}
+
+#[test]
+fn chained_estimate_is_exact_when_every_window_is_its_own_unit() {
+    // With at least as many strata as windows, every window is a unit of
+    // weight one and each unit's warmup is empty (the previous unit ended
+    // where it starts), so the carried predictor steps the whole stream
+    // once, in order: the full run.
+    Prop::new("strata >= windows is the full run")
         .cases(6)
         .run(gen_case, |&(run, scale_milli, k, window)| {
-            let trace = suite[run].generate_scaled(f64::from(scale_milli) / 1000.0);
-            let cfg = small_cfg(k, window);
-            let serial = simpoint_trace(
-                PredictorKind::PpmHyb,
-                2048,
-                &trace,
-                &cfg,
-                &Executor::new(POOL_SIZES[0]),
-            );
-            for &threads in &POOL_SIZES {
-                let exec = Executor::new(threads);
-                let again = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &cfg, &exec);
-                prop_assert_eq!(&serial, &again, "{} threads", threads);
-                // Same executor, evaluated twice: no state may leak
-                // between estimates.
-                let repeat = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &cfg, &exec);
-                prop_assert_eq!(&serial, &repeat, "repeat at {} threads", threads);
+            let (stream, iterations) = case_stream(run, scale_milli);
+            let events: Vec<BranchEvent> = stream.clone().events(iterations).collect();
+            let cfg = SimPointConfig {
+                strata: events.len().div_ceil(window).max(1),
+                ..small_cfg(k, window)
+            };
+            let prep = stream_prep(&stream, iterations, &cfg);
+            for kind in [PredictorKind::PpmHyb, PredictorKind::Cascade] {
+                let full = kind.simulate_events(2048, events.iter().copied());
+                let sampled = simpoint_streamed_chained(kind, 2048, &prep, &cfg);
+                prop_assert_eq!(
+                    (sampled.estimate.predictions, sampled.estimate.mispredictions),
+                    (full.predictions(), full.mispredictions()),
+                    "{:?}, run {}",
+                    kind,
+                    run
+                );
+                prop_assert_eq!(
+                    sampled.events_simulated,
+                    events.len() as u64,
+                    "{:?}, run {}: simulated events",
+                    kind,
+                    run
+                );
             }
             Ok(())
         });
 }
 
 #[test]
-fn streamed_path_reproduces_trace_path_exactly() {
-    // The streamed estimator sees the same events through a resumable
-    // generator (signatures on pass 1, checkpoint regeneration on pass
-    // 2) — both phases and estimates must be bit-identical to the
-    // materialized-trace estimator, and the chained estimator must be
-    // repeat-stable on the same prep.
-    let suite = paper_suite();
-    Prop::new("streamed == trace-based sampling")
-        .cases(4)
-        .run(gen_case, |&(run, scale_milli, k, window)| {
-            let scale = f64::from(scale_milli) / 1000.0;
-            let iterations = suite[run].scaled_iterations(scale) as u64;
-            let stream = suite[run].stream();
-            let trace = Trace::from_events(stream.clone().events(iterations).collect());
-            let cfg = small_cfg(k, window);
-            let exec = Executor::new(2);
-            let from_trace = simpoint_trace(PredictorKind::Cascade, 2048, &trace, &cfg, &exec);
-            let from_stream =
-                simpoint_streamed(PredictorKind::Cascade, 2048, &stream, iterations, &cfg, &exec);
-            prop_assert_eq!(&from_trace, &from_stream, "run {}", run);
-
-            let prep = stream_prep(&stream, iterations, &cfg);
-            let chained = simpoint_streamed_chained(PredictorKind::Cascade, 2048, &prep, &cfg);
-            let chained_again = simpoint_streamed_chained(PredictorKind::Cascade, 2048, &prep, &cfg);
-            prop_assert_eq!(&chained, &chained_again, "chained repeat, run {}", run);
-            prop_assert_eq!(
-                &chained.phases,
-                &from_trace.phases,
-                "chained clustering, run {}",
-                run
-            );
-            Ok(())
-        });
-}
-
-#[test]
 fn cluster_weights_partition_the_window_set() {
-    let suite = paper_suite();
     Prop::new("weights sum to window count")
         .cases(8)
         .run(gen_case, |&(run, scale_milli, k, window)| {
-            let trace = suite[run].generate_scaled(f64::from(scale_milli) / 1000.0);
+            let (stream, iterations) = case_stream(run, scale_milli);
+            let events: Vec<BranchEvent> = stream.events(iterations).collect();
             let cfg = small_cfg(k, window);
-            let set = signatures_of(&trace, &cfg);
+            let set = signature_set(&events, &cfg);
             let phases = cluster_signatures(&set, &cfg);
             let weight_sum: u64 = phases.clusters.iter().map(|c| c.weight).sum();
             prop_assert_eq!(
@@ -146,65 +188,56 @@ fn cluster_weights_partition_the_window_set() {
                     c.representative
                 );
             }
-            prop_assert_eq!(set.total_events(), trace.len() as u64, "event accounting");
+            prop_assert_eq!(set.total_events(), events.len() as u64, "event accounting");
             Ok(())
         });
 }
 
 #[test]
 fn k_larger_than_window_count_clamps() {
-    let trace = paper_suite()[0].generate_scaled(0.002);
+    let (stream, iterations) = case_stream(0, 2);
     let cfg = small_cfg(64, 4096); // few windows, absurd k
-    let set = signatures_of(&trace, &cfg);
-    assert!(set.windows() < 64, "scale too large for the clamp case");
-    let phases = cluster_signatures(&set, &cfg);
+    let prep = stream_prep(&stream, iterations, &cfg);
+    let phases = prep.phases();
+    assert!(phases.windows() < 64, "scale too large for the clamp case");
     assert!(
-        phases.clusters.len() <= set.windows() * cfg.strata,
+        phases.clusters.len() <= phases.windows() * cfg.strata,
         "units exceed windows × strata"
     );
     let weight_sum: u64 = phases.clusters.iter().map(|c| c.weight).sum();
-    assert_eq!(weight_sum, set.windows() as u64);
-    // The estimate still works — and with k ≥ windows each window is its
-    // own unit, so sampling degenerates to (windowed) full simulation.
-    let exec = Executor::new(2);
-    let run = simpoint_from_phases(PredictorKind::Btb, 2048, &trace, &phases, &cfg, &exec);
+    assert_eq!(weight_sum, phases.windows() as u64);
+    // The estimate still works — and with k ≥ windows nearly every
+    // window is its own unit, so sampling degenerates to (windowed) full
+    // simulation.
+    let run = simpoint_streamed_chained(PredictorKind::Btb, 2048, &prep, &cfg);
     assert!(run.estimate.predictions > 0);
 }
 
 #[test]
 fn degenerate_streams_clamp_instead_of_panicking() {
-    let cfg = small_cfg(4, 256);
-    let exec = Executor::new(2);
+    let stream = paper_suite()[2].stream();
 
-    // Empty trace: no windows, no units, a zero estimate.
-    let empty = Trace::new();
-    let set = signatures_of(&empty, &cfg);
-    assert_eq!(set.windows(), 0);
-    let phases = cluster_signatures(&set, &cfg);
-    assert!(phases.clusters.is_empty());
-    let run = simpoint_trace(PredictorKind::PpmHyb, 2048, &empty, &cfg, &exec);
+    // Empty stream: no windows, no units, a zero estimate.
+    let cfg = small_cfg(4, 256);
+    let prep = stream_prep(&stream, 0, &cfg);
+    assert_eq!(prep.phases().windows(), 0);
+    assert!(prep.phases().clusters.is_empty());
+    let run = simpoint_streamed_chained(PredictorKind::PpmHyb, 2048, &prep, &cfg);
     assert_eq!(run.estimate.predictions, 0);
     assert_eq!(run.estimate.mispredictions, 0);
+    assert_eq!(run.events_simulated, 0);
 
     // Shorter than one window: exactly one (partial) window, which must
     // be its own representative, making the estimate exact.
-    let tiny = Trace::from_events(
-        paper_suite()[2]
-            .generate_scaled(0.001)
-            .events()
-            .iter()
-            .copied()
-            .take(100)
-            .collect(),
-    );
-    assert!(tiny.len() < cfg.window);
-    let set = signatures_of(&tiny, &cfg);
-    assert_eq!(set.windows(), 1);
-    let phases = cluster_signatures(&set, &cfg);
+    let cfg = small_cfg(4, 1 << 16);
+    let prep = stream_prep(&stream, 1, &cfg);
+    let phases = prep.phases();
+    assert!(phases.total_events > 0 && phases.total_events < cfg.window as u64);
+    assert_eq!(phases.windows(), 1);
     assert_eq!(phases.clusters.len(), 1);
     assert_eq!(phases.clusters[0].weight, 1);
-    let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &tiny, &cfg, &exec);
-    let full = PredictorKind::PpmHyb.simulate_events(2048, tiny.iter().copied());
+    let sampled = simpoint_streamed_chained(PredictorKind::PpmHyb, 2048, &prep, &cfg);
+    let full = PredictorKind::PpmHyb.simulate_events(2048, stream.events(1));
     assert_eq!(sampled.estimate.predictions, full.predictions());
     assert_eq!(sampled.estimate.mispredictions, full.mispredictions());
 }

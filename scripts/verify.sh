@@ -61,6 +61,13 @@ if [ $((analyze_t1 - analyze_t0)) -ge 10 ]; then
   exit 1
 fi
 
+echo "== clippy (every crate and target, warnings denied) =="
+# A deny-level error in one crate stops clippy before it lints anything
+# that depends on it, so the whole workspace is linted in one pass and
+# any warning fails. Each `#[allow(clippy::...)]` carries a one-line
+# reason.
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
+
 echo "== release build (offline) =="
 # The root manifest's default-members cover the root package and every
 # crate, so this builds every binary the stages below run.
@@ -112,9 +119,11 @@ cargo run -q --release --offline -p ibp-bench --bin bitreport -- \
 
 echo "== phase-sampling property + differential suites =="
 # The estimator's two correctness walls, run by name (DESIGN.md §13):
-# byte-identical sampled runs across executor pool sizes and repeats,
-# signature/weight invariants and degenerate-input clamps; then the
-# weighted-vs-full differential over all fifteen suite runs with the
+# the streamed clustering equal to the materialized trace's, repeat-
+# stable estimates, never more events simulated than the stream holds,
+# the full run exactly when every window is its own unit, signature/
+# weight invariants and degenerate-input clamps; then the weighted-vs-
+# full differential over all fifteen suite runs' streams with the
 # ≤0.5 pp absolute misprediction-ratio gate.
 cargo test -q --offline -p ibp-sim --test simpoint_prop
 cargo test -q --offline -p ibp-sim --test simpoint_differential
@@ -142,7 +151,7 @@ echo "== regenerate every deterministic results/ artifact and cmp =="
 # changed. Beyond the cmp, two generators gate on their own:
 # - simbench exits 1 unless the weighted phase-sampled estimate is
 #   within 0.5 pp of the full run for PPM-hyb on all 15 suite runs and
-#   for all 7 Figure 6 kinds on the chained streamed gs.tig path;
+#   for all 7 Figure 6 kinds on a ~2M-event streamed gs.tig run;
 # - membench exits 1 unless every tier fork's snapshot blob restores
 #   with the fork's event count, and unless summed tier forks undercut
 #   summed private plain sessions.

@@ -14,10 +14,12 @@
 //! requires bumping `METRICS_SCHEMA_VERSION` and re-deriving the golden
 //! string below.
 
-use ibp_exec::Executor;
 use ibp_metrics::{Log2Histogram, MetricsSnapshot};
 use ibp_sim::metrics::{MetricsCell, MetricsGrid};
-use ibp_sim::{metrics_to_json, simpoint_trace, PredictorKind, SimPointConfig, METRICS_SCHEMA_VERSION};
+use ibp_sim::{
+    metrics_to_json, simpoint_streamed_chained, stream_prep, PredictorKind, SimPointConfig,
+    METRICS_SCHEMA_VERSION,
+};
 use ibp_workloads::paper_suite;
 
 /// (label, events, MT indirect, FNV-1a over (pc, target, inline)).
@@ -65,13 +67,14 @@ fn suite_traces_match_their_pins() {
 /// Full-vs-sampled pins on the gs.tig stream at 20% scale (the same
 /// trace `tracegen -- gs.tig --scale 0.2` writes — regenerated here
 /// since `traces/` is scratch): PPM-hyb exact counts and the
-/// phase-sampled weighted counts at a fixed estimator config. The
-/// sampled pin freezes the whole estimator pipeline — window slicing,
-/// signature hashing, k-means seeding and tie-breaks, stratification,
-/// warmup policy, weighted merge — so any drift in the estimator fails
-/// here like any other golden (see DESIGN.md §13). If a change is
-/// *intentional*, re-derive these numbers and regenerate
-/// `results/simpoint_validation.txt` (`simbench`).
+/// phase-sampled weighted counts of the chained estimator on the run's
+/// stream at a fixed config. The sampled pin freezes the whole
+/// estimator pipeline — window slicing, signature hashing, k-means
+/// seeding and tie-breaks, stratification, warmup policy, weighted
+/// merge — so any drift in the estimator fails here like any other
+/// golden (see DESIGN.md §13). If a change is *intentional*, re-derive
+/// these numbers and regenerate `results/simpoint_validation.txt`
+/// (`simbench`).
 #[test]
 fn gs_tig_full_vs_sampled_ppm_matches_its_pins() {
     let run = paper_suite()
@@ -94,9 +97,10 @@ fn gs_tig_full_vs_sampled_ppm_matches_its_pins() {
         warmup_windows: 8,
         strata: 2,
         dims: 64,
-        ..SimPointConfig::default()
     };
-    let sampled = simpoint_trace(PredictorKind::PpmHyb, 2048, &trace, &cfg, &Executor::new(2));
+    let prep = stream_prep(&run.stream(), run.scaled_iterations(0.2) as u64, &cfg);
+    let sampled = simpoint_streamed_chained(PredictorKind::PpmHyb, 2048, &prep, &cfg);
+    assert_eq!(sampled.phases.total_events, 83_300, "gs.tig stream drifted");
     assert_eq!(sampled.phases.windows(), 82, "window slicing drifted");
     assert_eq!(
         (
@@ -104,7 +108,7 @@ fn gs_tig_full_vs_sampled_ppm_matches_its_pins() {
             sampled.estimate.mispredictions,
             sampled.phases.clusters.len() as u64,
         ),
-        (51_727, 4_113, 16),
+        (51_727, 4_300, 16),
         "sampled PPM-hyb estimate drifted (estimator pipeline changed)"
     );
 }
