@@ -7,10 +7,10 @@
 //!
 //! * **declared** — [`IndirectPredictor::cost`], computed from the
 //!   configuration parameters;
-//! * **audited** — [`IndirectPredictor::report_storage`], summed from
-//!   the per-component breakdown of the actually allocated state
-//!   (tags, targets, counters, useful bits, history registers,
-//!   metadata).
+//! * **audited** — [`PredictorState::report_storage`], summed from the
+//!   rows of every component the predictor declares, counted from the
+//!   actually allocated state (tags, targets, counters, useful bits,
+//!   history registers, metadata).
 //!
 //! The two must agree within 1% per kind (they are written to agree
 //! exactly; the slack absorbs deliberate rounding, not bugs), and every
@@ -28,7 +28,7 @@
 //! exits.
 
 use ibp_hw::ComponentClass;
-use ibp_predictors::IndirectPredictor;
+use ibp_predictors::{IndirectPredictor, PredictorState};
 use ibp_sim::{Json, PredictorKind};
 
 /// The §5 entry budget the zoo rows are built at (kinds that size

@@ -13,7 +13,7 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin epilogue_ittage [scale]`
 
-use ibp_predictors::IndirectPredictor;
+use ibp_predictors::PredictorState;
 use ibp_sim::report::render_grid;
 use ibp_sim::{compare_grid, PredictorKind};
 use ibp_workloads::paper_suite;

@@ -15,6 +15,7 @@
 //! and writes the per-cell metrics JSON (identical prediction results,
 //! plus telemetry).
 
+use ibp_bench::figure_args;
 use ibp_sim::report::{grid_to_csv, render_grid};
 use ibp_sim::{
     compare_grid, compare_grid_at_bits, metrics_grid, metrics_to_json, Executor, PredictorKind,
@@ -22,29 +23,21 @@ use ibp_sim::{
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let budget_bits = args.iter().position(|a| a == "--budget").map(|i| {
-        let bits = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()).unwrap_or_else(|| {
+    let args = figure_args(
+        "fig7 [scale] [--csv] [--budget <bits>] [--metrics <path>]",
+        1.0,
+        &["--csv"],
+        &["--budget", "--metrics"],
+    );
+    let budget_bits = args.value("--budget").map(|b| {
+        b.parse::<u64>().unwrap_or_else(|_| {
             eprintln!("--budget needs a storage budget in bits");
             std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        bits
+        })
     });
-    let metrics_path = args.iter().position(|a| a == "--metrics").map(|i| {
-        let path = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("usage: fig7 [scale] [--csv] [--budget <bits>] [--metrics <path>]");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
-        path
-    });
-    let csv = args.iter().any(|a| a == "--csv");
-    args.retain(|a| a != "--csv");
-    let scale: f64 = args
-        .first()
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let metrics_path = args.value("--metrics");
+    let csv = args.has("--csv");
+    let scale = args.scale;
     let runs = paper_suite();
     let kinds = PredictorKind::figure7();
     if let Some(bits) = budget_bits {

@@ -10,6 +10,7 @@
 //! Usage: `cargo run --release -p ibp-bench --bin sweep_delay [scale]`.
 //! `IBP_THREADS=n` pins the pool size.
 
+use ibp_bench::figure_args;
 use ibp_exec::Executor;
 use ibp_sim::report::pct;
 use ibp_sim::{simulate, DelayedPredictor, PredictorKind};
@@ -59,10 +60,7 @@ fn print_table(kinds: &[PredictorKind], delays: &[usize], prefix: &str, means: &
 }
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.15);
+    let scale = figure_args("sweep_delay [scale]", 0.15, &[], &[]).scale;
     let exec = Executor::from_env();
     let suite = paper_suite();
     let traces: Vec<Trace> = exec.map(&suite, |_, r| r.generate_scaled(scale));

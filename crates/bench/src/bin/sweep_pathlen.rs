@@ -8,6 +8,7 @@
 //! Usage: `cargo run --release -p ibp-bench --bin sweep_pathlen [scale]`.
 //! `IBP_THREADS=n` pins the pool size.
 
+use ibp_bench::figure_args;
 use ibp_exec::Executor;
 use ibp_predictors::{
     DualPath, DualPathConfig, GApConfig, GApPredictor, HistoryGroup, IndirectPredictor,
@@ -36,10 +37,7 @@ impl Sweep<'_> {
 }
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = figure_args("sweep_pathlen [scale]", 0.25, &[], &[]).scale;
     let exec = Executor::from_env();
     let suite = paper_suite();
     let traces: Vec<Trace> = exec.map(&suite, |_, r| r.generate_scaled(scale));

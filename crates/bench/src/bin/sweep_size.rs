@@ -13,6 +13,7 @@
 //! even the 64-entry floor overshoots). `IBP_THREADS=n` pins the pool
 //! size.
 
+use ibp_bench::figure_args;
 use ibp_exec::Executor;
 use ibp_sim::report::pct;
 use ibp_sim::PredictorKind;
@@ -57,13 +58,13 @@ fn print_bit_means(kinds: &[PredictorKind], bit_budgets: &[u64], traces: usize, 
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bit_budgets = args.iter().position(|a| a == "--budget").map(|i| {
-        let spec = args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--budget needs a comma-separated list of bit budgets");
-            std::process::exit(2);
-        });
-        args.drain(i..=i + 1);
+    let args = figure_args(
+        "sweep_size [scale] [--budget b1,b2,...]",
+        0.25,
+        &[],
+        &["--budget"],
+    );
+    let bit_budgets = args.value("--budget").map(|spec| {
         spec.split(',')
             .map(|s| {
                 s.trim().parse::<u64>().unwrap_or_else(|_| {
@@ -73,10 +74,7 @@ fn main() {
             })
             .collect::<Vec<u64>>()
     });
-    let scale: f64 = args
-        .first()
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = args.scale;
     let budgets = [512usize, 1024, 2048, 4096, 8192];
     let mut kinds = PredictorKind::figure6();
     let runs = paper_suite();

@@ -121,6 +121,11 @@ impl Biu {
         self.kind
     }
 
+    /// The branch capacity of a bounded BIU; `None` when unbounded.
+    pub fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
     /// Number of branches currently tracked.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -234,29 +239,12 @@ impl Biu {
         HardwareCost::new(0, n * 4)
     }
 
-    /// Appends the BIU's storage components to a [`StorageReport`].
-    /// Each slot holds a 2-bit exclude/steady flag pair and a 2-bit
-    /// usefulness selector — 4 bits total, matching [`Biu::cost`].
-    pub fn report_storage_into(&self, r: &mut ibp_hw::bitspec::StorageReport) {
-        use ibp_hw::bitspec::ComponentClass;
-        let n = self.capacity.unwrap_or(self.index.len()) as u64;
-        r.table("biu.flags", ComponentClass::Metadata, n, 2)
-            .table("biu.selector", ComponentClass::Counter, n, 2);
-    }
-
     /// Forgets all branches.
     pub fn reset(&mut self) {
         self.index.clear();
         self.slots.clear();
         self.free.clear();
         self.clock = 0;
-    }
-
-    /// Approximate heap bytes held by the BIU right now.
-    pub fn resident_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<BiuSlot>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
-            + self.index.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
     }
 }
 
@@ -338,6 +326,19 @@ impl ibp_hw::Persist for Biu {
             self.index.insert(pc, id);
         }
         Ok(())
+    }
+
+    /// Approximate heap bytes held by the BIU right now.
+    fn resident_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<BiuSlot>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+            + self.index.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+    }
+
+    /// One field per branch: the configured capacity of a bounded BIU,
+    /// the branches tracked so far of an unbounded one.
+    fn report_rows(&self, part: ibp_hw::Part<'_>, r: &mut ibp_hw::bitspec::StorageReport) {
+        part.emit_rows(self.capacity.unwrap_or(self.index.len()) as u64, r);
     }
 }
 

@@ -12,7 +12,7 @@ use crate::selector::SelectorKind;
 use crate::stack::StackConfig;
 use ibp_hw::HardwareCost;
 use ibp_isa::Addr;
-use ibp_predictors::{IndirectPredictor, LeakyFilter};
+use ibp_predictors::{declare_state, IndirectPredictor, LeakyFilter};
 use ibp_trace::BranchEvent;
 
 /// A leaky filter in front of the hybrid PPM.
@@ -109,22 +109,18 @@ impl IndirectPredictor for FilteredPpm {
         self.core.cost() + HardwareCost::table(self.filter_entries as u64, 64 + 30 + 2 + 1)
     }
 
-    fn report_storage(&self) -> ibp_hw::bitspec::StorageReport {
-        use ibp_hw::bitspec::ComponentClass;
-        let n = self.filter_entries as u64;
-        let mut r = ibp_hw::bitspec::StorageReport::new();
-        r.table("filter.tags", ComponentClass::Tag, n, 30)
-            .table("filter.targets", ComponentClass::Target, n, 64)
-            .table("filter.conf", ComponentClass::Counter, n, 2)
-            .table("filter.valid", ComponentClass::Metadata, n, 1)
-            .extend_from(&self.core.report_storage());
-        r
+    fn reset(&mut self) {
+        *self = Self::new(
+            self.filter_entries,
+            *self.core.stack().config(),
+            self.core.biu().kind(),
+        );
     }
 
-    fn reset(&mut self) {
-        self.filter.reset();
-        self.core.reset();
-        self.last = None;
+    declare_state! { self;
+        "filter" [Tag(30) tags, Target(64) targets, Counter(2) conf, Metadata(1) valid]
+            => self.filter;
+        nested self.core;
     }
 }
 

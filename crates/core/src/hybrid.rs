@@ -12,9 +12,9 @@ use crate::biu::{Biu, BiuEntry, BiuId};
 use crate::selector::{CorrelationMode, SelectorKind};
 use crate::stack::{MarkovStack, StackConfig, StackLookup};
 use crate::stats::OrderStats;
-use ibp_hw::{HardwareCost, Persist, SfsxsRegister};
+use ibp_hw::{HardwareCost, SfsxsRegister};
 use ibp_isa::{Addr, TargetArity};
-use ibp_predictors::{HistoryGroup, IndirectPredictor};
+use ibp_predictors::{declare_state, HistoryGroup, IndirectPredictor};
 use ibp_trace::BranchEvent;
 
 /// The PPM hybrid predictor (`PPM-hyb` / `PPM-hyb-biased`).
@@ -198,27 +198,12 @@ impl IndirectPredictor for PpmHybrid {
             + self.biu.cost()
     }
 
-    fn report_storage(&self) -> ibp_hw::bitspec::StorageReport {
-        use ibp_hw::bitspec::{ComponentClass, StorageReport};
-        let mut r = StorageReport::new();
-        self.stack.report_storage_into(&mut r);
-        r.register("pb_phr", ComponentClass::History, self.pb_phr.total_bits() as u64)
-            .register("pib_phr", ComponentClass::History, self.pib_phr.total_bits() as u64);
-        self.biu.report_storage_into(&mut r);
-        r
-    }
-
     fn reset(&mut self) {
-        self.stack.clear();
-        self.pb_phr.clear();
-        self.pib_phr.clear();
-        self.biu.reset();
-        self.stats.reset();
-        self.last = None;
-        self.pb_predictions = 0;
-        self.pib_predictions = 0;
-        self.selector_transitions = 0;
-        self.mode_flips = 0;
+        let fresh = Self::new(*self.stack.config(), self.selector_kind);
+        *self = match self.biu.capacity() {
+            Some(capacity) => fresh.with_bounded_biu(capacity),
+            None => fresh,
+        };
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -231,44 +216,24 @@ impl IndirectPredictor for PpmHybrid {
         sink("predictions_pib_mode", self.pib_predictions);
     }
 
-    fn seal(&mut self) {
-        self.stack.seal();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.stack.resident_bytes() + self.biu.resident_bytes()
-    }
-
-    fn save_state(&self, out: &mut ibp_hw::StateSink<'_>) {
-        // `last` is predict→update window state, None at event boundaries;
-        // each PHR writes a `PathHistory`'s bytes and rebuilds its
-        // signature on load.
-        self.stack.save_state(out);
-        self.pb_phr.save_state(out);
-        self.pib_phr.save_state(out);
-        self.biu.save_state(out);
-        self.stats.save_state(out);
-        out.u64(self.pb_predictions);
-        out.u64(self.pib_predictions);
-        out.u64(self.selector_transitions);
-        out.u64(self.mode_flips);
-    }
-
-    fn load_state(
-        &mut self,
-        src: &mut ibp_hw::StateSource<'_>,
-    ) -> Result<(), ibp_hw::PersistError> {
-        self.stack.load_state(src)?;
-        self.pb_phr.load_state(src)?;
-        self.pib_phr.load_state(src)?;
-        self.biu.load_state(src)?;
-        self.stats.load_state(src)?;
-        self.pb_predictions = src.u64()?;
-        self.pib_predictions = src.u64()?;
-        self.selector_transitions = src.u64()?;
-        self.mode_flips = src.u64()?;
-        self.last = None;
-        Ok(())
+    // `last` is predict→update window state, None at event boundaries;
+    // each PHR writes a `PathHistory`'s bytes and rebuilds its signature
+    // on load.
+    declare_state! { self;
+        "o" [
+            Tag(if self.stack.config().tagged { 10 } else { 0 }) tags,
+            Target(64) targets,
+            Counter(2) conf,
+            Metadata(1) valid,
+        ] => self.stack;
+        "pb_phr" [History(self.pb_phr.total_bits() as u64)] => self.pb_phr;
+        "pib_phr" [History(self.pib_phr.total_bits() as u64)] => self.pib_phr;
+        "biu" [Metadata(2) flags, Counter(2) selector] => self.biu;
+        "stats" [] => self.stats;
+        "pb_predictions" [] => self.pb_predictions;
+        "pib_predictions" [] => self.pib_predictions;
+        "selector_transitions" [] => self.selector_transitions;
+        "mode_flips" [] => self.mode_flips;
     }
 }
 

@@ -10,10 +10,10 @@
 //! orders, and update exclusion. The ablation bench compares it against
 //! the hardware PPM to quantify what the approximations cost.
 
-use ibp_exec::FastMap;
 use ibp_hw::HardwareCost;
 use ibp_isa::Addr;
-use ibp_predictors::{HistoryGroup, IndirectPredictor};
+use ibp_predictors::oracle::VoteTable;
+use ibp_predictors::{declare_state, HistoryGroup, IndirectPredictor};
 use ibp_trace::BranchEvent;
 use std::collections::VecDeque;
 
@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Default)]
 struct IdealOrder {
     /// (pc, exact last-j targets) -> target -> count
-    contexts: FastMap<(u64, Vec<u64>), FastMap<u64, u64>>,
+    contexts: VoteTable,
 }
 
 impl IdealOrder {
@@ -157,24 +157,19 @@ impl IndirectPredictor for IdealPpm {
         HardwareCost::table(entries, 64 + 32)
     }
 
-    fn report_storage(&self) -> ibp_hw::bitspec::StorageReport {
-        use ibp_hw::bitspec::ComponentClass;
-        // Idealized predictor: storage is unbounded, so audit the live
-        // footprint (targets + frequency counts per context entry).
-        let mut r = ibp_hw::bitspec::StorageReport::new();
-        for (i, o) in self.orders.iter().enumerate() {
-            let n: u64 = o.contexts.values().map(|c| c.len() as u64).sum();
-            r.table(&format!("o{i}.targets"), ComponentClass::Target, n, 64)
-                .table(&format!("o{i}.counts"), ComponentClass::Counter, n, 32);
-        }
-        r
+    fn reset(&mut self) {
+        *self = Self::with_group(self.max_order, self.group);
     }
 
-    fn reset(&mut self) {
-        for o in self.orders.iter_mut() {
-            o.contexts.clear();
+    // Idealized predictor: storage is unbounded, so the inventory is the
+    // live footprint (targets + frequency counts per context entry).
+    declare_state! { self;
+        guard u64::from(self.max_order), "ideal PPM max order";
+        "history" [] => self.history;
+        check self.history.len() <= self.max_order as usize, "ideal PPM history overfull";
+        for i in (0..self.orders.len()) {
+            "o"(i) [Target(64) targets, Counter(32) counts] => self.orders[i].contexts;
         }
-        self.history.clear();
     }
 }
 

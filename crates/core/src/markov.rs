@@ -26,7 +26,8 @@
 //!   fleet of sessions forked from one trained stack shares the tables
 //!   and pays only for divergence.
 
-use ibp_hw::persist::{Persist, PersistError, StateSink, StateSource};
+use ibp_hw::bitspec::StorageReport;
+use ibp_hw::persist::{Part, Persist, PersistError, StateSink, StateSource};
 use ibp_hw::{HardwareCost, SparseDelta};
 use ibp_isa::Addr;
 use ibp_predictors::entry::HysteresisEntry;
@@ -250,31 +251,6 @@ impl MarkovTable {
         }
     }
 
-    /// Heap bytes this instance pays for: the slot array when private,
-    /// only the copy-on-write delta when sealed.
-    pub fn resident_bytes(&self) -> usize {
-        match &self.store {
-            MarkovStore::Private(slots) => slots.heap_bytes(),
-            MarkovStore::Shared { delta, .. } => delta.resident_bytes(),
-        }
-    }
-
-    /// Freezes the current contents into an immutable, shared base tier
-    /// with an empty copy-on-write delta (see the module doc).
-    /// Re-sealing flattens the delta into a fresh base.
-    pub fn seal(&mut self) {
-        let mut flat = MarkovSlots::new(self.len(), self.encoding);
-        for i in 0..self.len() {
-            if let Some(e) = self.get_slot(i) {
-                flat.set(i, e);
-            }
-        }
-        self.store = MarkovStore::Shared {
-            base: Arc::new(flat),
-            delta: SparseDelta::new(),
-        };
-    }
-
     #[inline]
     fn slot(&self, index: u64) -> usize {
         self.index_mod.rem(index) as usize
@@ -370,19 +346,6 @@ impl MarkovTable {
     pub fn cost(&self) -> HardwareCost {
         let tag_bits = if self.tagged { 10 } else { 0 };
         HardwareCost::table(self.len() as u64, 64 + 2 + 1 + tag_bits)
-    }
-
-    /// Appends this table's storage components (from the live entry
-    /// count) to a [`StorageReport`] under `prefix`.
-    pub fn report_storage_into(&self, prefix: &str, r: &mut ibp_hw::bitspec::StorageReport) {
-        use ibp_hw::bitspec::ComponentClass;
-        let n = self.len() as u64;
-        if self.tagged {
-            r.table(&format!("{prefix}.tags"), ComponentClass::Tag, n, 10);
-        }
-        r.table(&format!("{prefix}.targets"), ComponentClass::Target, n, 64)
-            .table(&format!("{prefix}.conf"), ComponentClass::Counter, n, 2)
-            .table(&format!("{prefix}.valid"), ComponentClass::Metadata, n, 1);
     }
 
     /// Invalidates every entry and zeroes the telemetry tallies. A
@@ -505,7 +468,9 @@ impl Persist for MarkovTable {
                 let mut slots = MarkovSlots::new(len, self.encoding);
                 let mut slot = 0u64;
                 for _ in 0..count {
-                    slot += src.u64()?;
+                    slot = slot
+                        .checked_add(src.u64()?)
+                        .ok_or(PersistError::Corrupt("markov slot out of range"))?;
                     let idx = usize::try_from(slot)
                         .ok()
                         .filter(|&i| i < len)
@@ -527,7 +492,9 @@ impl Persist for MarkovTable {
                 let count = src.usize()?;
                 let mut slot = 0u64;
                 for _ in 0..count {
-                    slot += src.u64()?;
+                    slot = slot
+                        .checked_add(src.u64()?)
+                        .ok_or(PersistError::Corrupt("markov slot out of range"))?;
                     let idx = u32::try_from(slot)
                         .ok()
                         .filter(|&k| (k as usize) < len)
@@ -541,6 +508,35 @@ impl Persist for MarkovTable {
         self.allocations = allocations;
         self.tag_conflicts = tag_conflicts;
         Ok(())
+    }
+
+    /// Freezes the current contents into an immutable, shared base tier
+    /// with an empty copy-on-write delta (see the module doc).
+    /// Re-sealing flattens the delta into a fresh base.
+    fn seal(&mut self) {
+        let mut flat = MarkovSlots::new(self.len(), self.encoding);
+        for i in 0..self.len() {
+            if let Some(e) = self.get_slot(i) {
+                flat.set(i, e);
+            }
+        }
+        self.store = MarkovStore::Shared {
+            base: Arc::new(flat),
+            delta: SparseDelta::new(),
+        };
+    }
+
+    /// The slot array when private, only the copy-on-write delta when
+    /// sealed.
+    fn resident_bytes(&self) -> usize {
+        match &self.store {
+            MarkovStore::Private(slots) => slots.heap_bytes(),
+            MarkovStore::Shared { delta, .. } => delta.resident_bytes(),
+        }
+    }
+
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        part.emit_rows(self.len() as u64, r);
     }
 }
 

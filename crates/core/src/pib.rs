@@ -8,9 +8,9 @@
 
 use crate::stack::{MarkovStack, StackConfig, StackLookup};
 use crate::stats::OrderStats;
-use ibp_hw::{HardwareCost, Persist, SfsxsRegister};
+use ibp_hw::{HardwareCost, SfsxsRegister};
 use ibp_isa::Addr;
-use ibp_predictors::{HistoryGroup, IndirectPredictor};
+use ibp_predictors::{declare_state, HistoryGroup, IndirectPredictor};
 use ibp_trace::BranchEvent;
 
 /// The PPM-PIB predictor.
@@ -105,19 +105,8 @@ impl IndirectPredictor for PpmPib {
         self.stack.cost() + HardwareCost::register(self.phr.total_bits() as u64)
     }
 
-    fn report_storage(&self) -> ibp_hw::bitspec::StorageReport {
-        use ibp_hw::bitspec::{ComponentClass, StorageReport};
-        let mut r = StorageReport::new();
-        self.stack.report_storage_into(&mut r);
-        r.register("phr", ComponentClass::History, self.phr.total_bits() as u64);
-        r
-    }
-
     fn reset(&mut self) {
-        self.stack.clear();
-        self.phr.clear();
-        self.stats.reset();
-        self.last = None;
+        *self = Self::new(*self.stack.config());
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -125,31 +114,17 @@ impl IndirectPredictor for PpmPib {
         self.stack.report_metrics(sink);
     }
 
-    fn seal(&mut self) {
-        self.stack.seal();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.stack.resident_bytes()
-    }
-
-    fn save_state(&self, out: &mut ibp_hw::StateSink<'_>) {
-        // `last` is predict→update window state; the sim only snapshots at
-        // event boundaries where it is None, so it is not serialized.
-        self.stack.save_state(out);
-        self.phr.save_state(out);
-        self.stats.save_state(out);
-    }
-
-    fn load_state(
-        &mut self,
-        src: &mut ibp_hw::StateSource<'_>,
-    ) -> Result<(), ibp_hw::PersistError> {
-        self.stack.load_state(src)?;
-        self.phr.load_state(src)?;
-        self.stats.load_state(src)?;
-        self.last = None;
-        Ok(())
+    // `last` is predict→update window state; the sim only snapshots at
+    // event boundaries where it is None, so it is not serialized.
+    declare_state! { self;
+        "o" [
+            Tag(if self.stack.config().tagged { 10 } else { 0 }) tags,
+            Target(64) targets,
+            Counter(2) conf,
+            Metadata(1) valid,
+        ] => self.stack;
+        "phr" [History(self.phr.total_bits() as u64)] => self.phr;
+        "stats" [] => self.stats;
     }
 }
 

@@ -10,8 +10,9 @@
 //! higher orders are updated; lower orders are untouched.
 
 use crate::markov::{MarkovTable, TableEncoding};
+use ibp_hw::bitspec::StorageReport;
 use ibp_hw::hash::{Sfsxs, SfsxsRegister};
-use ibp_hw::persist::{Persist, PersistError, StateSink, StateSource};
+use ibp_hw::persist::{Part, Persist, PersistError, StateSink, StateSource};
 use ibp_hw::HardwareCost;
 use ibp_isa::Addr;
 
@@ -435,14 +436,6 @@ impl MarkovStack {
         self.tables.iter().map(|t| t.cost()).sum()
     }
 
-    /// Appends every table's storage components to a [`StorageReport`],
-    /// one component group per order (`o0.targets`, `o1.tags`, ...).
-    pub fn report_storage_into(&self, r: &mut ibp_hw::bitspec::StorageReport) {
-        for t in self.tables.iter() {
-            t.report_storage_into(&format!("o{}", t.order()), r);
-        }
-    }
-
     /// Invalidates every table and zeroes the telemetry tallies. Sealed
     /// tables revert to private storage (reset means cold).
     pub fn clear(&mut self) {
@@ -452,24 +445,9 @@ impl MarkovStack {
         self.excluded_updates = 0;
     }
 
-    /// Freezes every table's contents into an `Arc`-shared base tier
-    /// with copy-on-write deltas. Clones of a sealed stack share the
-    /// base arrays and pay only for the slots they overwrite.
-    pub fn seal(&mut self) {
-        for t in self.tables.iter_mut() {
-            t.seal();
-        }
-    }
-
     /// True once [`seal`](Self::seal) has been called.
     pub fn is_sealed(&self) -> bool {
         self.tables.iter().all(|t| t.is_sealed())
-    }
-
-    /// Heap bytes this instance pays for across all tables (deltas only
-    /// when sealed).
-    pub fn resident_bytes(&self) -> usize {
-        self.tables.iter().map(|t| t.resident_bytes()).sum()
     }
 }
 
@@ -494,6 +472,28 @@ impl Persist for MarkovStack {
         }
         self.excluded_updates = excluded_updates;
         Ok(())
+    }
+
+    /// Freezes every table's contents into an `Arc`-shared base tier
+    /// with copy-on-write deltas. Clones of a sealed stack share the
+    /// base arrays and pay only for the slots they overwrite.
+    fn seal(&mut self) {
+        for t in self.tables.iter_mut() {
+            t.seal();
+        }
+    }
+
+    /// Every table's bytes (deltas only when sealed).
+    fn resident_bytes(&self) -> usize {
+        self.tables.iter().map(|t| t.resident_bytes()).sum()
+    }
+
+    /// One row group per order (`o1.targets`, `o2.conf`, ...).
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        for t in &self.tables {
+            let index = Some(t.order() as usize);
+            t.report_rows(Part { index, ..part }, r);
+        }
     }
 }
 

@@ -10,10 +10,12 @@
 //! * [`StorageReport`] — a structured inventory of every bit a predictor
 //!   configuration allocates, broken down by component ([`ComponentClass`]:
 //!   tags, targets, counters, useful bits, history registers, metadata).
-//!   Every [`IndirectPredictor`] in the zoo emits one through
-//!   `report_storage`, derived from its **live allocated state** (actual
-//!   container lengths), so the report can be audited against the
-//!   config-derived [`HardwareCost`] the predictor declares;
+//!   Every [`IndirectPredictor`] in the zoo emits one by walking its
+//!   declared state: each component's declared rows, counted from its
+//!   **live allocated state** (actual container lengths, see
+//!   [`Persist::report_rows`](crate::Persist::report_rows)), so the
+//!   report can be audited against the config-derived [`HardwareCost`]
+//!   the predictor declares;
 //! * [`solve_entries`] — the budget solver: given a declared bit budget
 //!   and a monotone `entries → bits` probe, finds the largest
 //!   configuration that fits. `fig6 --budget <bits>` uses it to size
@@ -137,23 +139,6 @@ impl StorageReport {
     /// Adds a register-shaped component: one field of `bits` bits.
     pub fn register(&mut self, name: &str, class: ComponentClass, bits: u64) -> &mut Self {
         self.table(name, class, 1, bits)
-    }
-
-    /// A single-component report wrapping a legacy [`HardwareCost`], for
-    /// predictors that have not yet broken their storage down (the trait
-    /// default).
-    pub fn legacy(cost: HardwareCost) -> Self {
-        let mut r = Self::new();
-        r.table("legacy.entries", ComponentClass::Target, cost.entries(), 0);
-        r.register("legacy.bits", ComponentClass::Metadata, cost.bits());
-        r
-    }
-
-    /// Appends every component of `other`, for composite predictors that
-    /// assemble their inventory from sub-structure reports.
-    pub fn extend_from(&mut self, other: &StorageReport) -> &mut Self {
-        self.components.extend(other.components.iter().cloned());
-        self
     }
 
     /// All components, in insertion order.
@@ -301,13 +286,6 @@ mod tests {
         r.table("selector", ComponentClass::Counter, 1024, 2);
         r.register("phr", ComponentClass::History, 96);
         assert_eq!(r.entries(), 2048);
-    }
-
-    #[test]
-    fn legacy_report_preserves_the_cost() {
-        let cost = HardwareCost::new(2048, 2048 * 66);
-        let r = StorageReport::legacy(cost);
-        assert_eq!(r.to_cost(), cost);
     }
 
     #[test]

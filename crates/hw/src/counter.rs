@@ -7,6 +7,7 @@
 //! Grunwald's BTB2b), inside every Markov-table entry, and as the per-branch
 //! *correlation selection* counter in the BIU (see `ibp-ppm::selector`).
 
+use crate::persist::{Persist, PersistElem, PersistError, StateSink, StateSource};
 
 /// An up/down saturating counter with a configurable number of bits.
 ///
@@ -203,38 +204,51 @@ impl Default for Saturating2Bit {
     }
 }
 
-impl crate::persist::PersistElem for SaturatingCounter {
-    fn save_elem(&self, out: &mut crate::persist::StateSink<'_>) {
+impl PersistElem for SaturatingCounter {
+    fn save_elem(&self, out: &mut StateSink<'_>) {
         out.u8(self.bits);
         out.u32(self.value);
     }
 
-    fn load_elem(
-        src: &mut crate::persist::StateSource<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
+    fn load_elem(src: &mut StateSource<'_>) -> Result<Self, PersistError> {
         let bits = src.u8()?;
         let value = src.u32()?;
         if bits == 0 || bits >= 32 {
-            return Err(crate::persist::PersistError::Corrupt("counter width"));
+            return Err(PersistError::Corrupt("counter width"));
         }
         if value > (1u32 << bits) - 1 {
-            return Err(crate::persist::PersistError::Corrupt("counter value"));
+            return Err(PersistError::Corrupt("counter value"));
         }
         Ok(Self { bits, value })
     }
 }
 
-impl crate::persist::PersistElem for Saturating2Bit {
-    fn save_elem(&self, out: &mut crate::persist::StateSink<'_>) {
+/// A lone counter (an arbitration counter, say) persisted by value into
+/// a counter of the same width.
+impl Persist for SaturatingCounter {
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        out.u64(u64::from(self.value));
+    }
+
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        let value = src.u64()?;
+        if value > u64::from(self.max()) {
+            return Err(PersistError::Corrupt("counter above its maximum"));
+        }
+        self.value = value as u32;
+        Ok(())
+    }
+}
+
+impl PersistElem for Saturating2Bit {
+    fn save_elem(&self, out: &mut StateSink<'_>) {
         out.u8(self.value() as u8);
     }
 
-    fn load_elem(
-        src: &mut crate::persist::StateSource<'_>,
-    ) -> Result<Self, crate::persist::PersistError> {
+    fn load_elem(src: &mut StateSource<'_>) -> Result<Self, PersistError> {
         let v = src.u8()?;
         if v > 3 {
-            return Err(crate::persist::PersistError::Corrupt("2-bit counter value"));
+            return Err(PersistError::Corrupt("2-bit counter value"));
         }
         Ok(Self::new(u32::from(v)))
     }
@@ -252,12 +266,16 @@ mod tests {
         assert_eq!(c.bits(), 3);
     }
 
+    // Debug builds only: the initial-value check is a debug_assert!, compiled out of release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "exceeds max")]
     fn initial_above_max_panics() {
         let _ = SaturatingCounter::new(2, 4);
     }
 
+    // Debug builds only: the width check is a debug_assert!, compiled out of release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "width must be")]
     fn zero_width_panics() {
@@ -316,6 +334,8 @@ mod tests {
         assert_eq!(c.value(), 7);
     }
 
+    // Debug builds only: SaturatingCounter::set checks its value with debug_assert! only (per-event path).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "exceeds counter max")]
     fn set_above_max_panics() {

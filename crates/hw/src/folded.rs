@@ -191,6 +191,11 @@ impl crate::persist::Persist for FoldedHistory {
         self.folded = self.recompute();
         Ok(())
     }
+
+    /// The ring of base contributions; the fold itself is inline.
+    fn resident_bytes(&self) -> usize {
+        self.len() * std::mem::size_of::<u64>()
+    }
 }
 
 #[cfg(test)]

@@ -511,6 +511,8 @@ mod tests {
         assert_eq!(gshare(0x12345678, 0, 12), 0x678);
     }
 
+    // Debug builds only: gshare checks its width with debug_assert! only (per-event path).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "index bits")]
     fn gshare_zero_bits_panics() {
@@ -537,6 +539,8 @@ mod tests {
         assert_eq!(fold_xor(0x2AA, 10, 10), 0x2AA);
     }
 
+    // Debug builds only: fold_xor checks its widths with debug_assert! only (per-event path).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "cannot fold")]
     fn fold_to_wider_panics() {
@@ -707,6 +711,8 @@ mod tests {
         assert_eq!(s.index_low(sig, 4), 0b0001);
     }
 
+    // Debug builds only: Sfsxs::index checks the order with debug_assert! only (per-event path).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "order must be")]
     fn sfsxs_order_zero_panics() {
@@ -721,6 +727,8 @@ mod tests {
         assert_eq!(s.signature(&phr), 0);
     }
 
+    // Debug builds only: the history-depth check is a debug_assert! (per-event path).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "shallower")]
     fn sfsxs_shallow_phr_panics() {

@@ -24,10 +24,11 @@
 //!   bits, history, metadata) audited against allocated state, and the
 //!   [`bitspec::solve_entries`] budget solver that sizes configurations to
 //!   a declared bit budget instead of an entry count;
-//! * [`persist`] — the session-state save/restore codec (LEB128 varint
-//!   sink/source, the [`persist::Persist`] contract) and the
-//!   [`persist::SparseDelta`] copy-on-write overlay behind sealed,
-//!   multi-tenant shared tables.
+//! * [`persist`] — the session-state codec (LEB128 varint sink/source),
+//!   the [`persist::Persist`] component contract, the visitors that walk
+//!   a predictor's declared components (save, load, seal, resident bytes,
+//!   storage rows), and the [`persist::SparseDelta`] copy-on-write
+//!   overlay behind sealed, multi-tenant shared tables.
 //!
 //! # Example
 //!
@@ -55,5 +56,8 @@ pub use counter::{Saturating2Bit, SaturatingCounter};
 pub use folded::FoldedHistory;
 pub use hash::{fold_xor, gshare, ReverseInterleave, Sfsxs, SfsxsRegister};
 pub use history::PathHistory;
-pub use persist::{Persist, PersistElem, PersistError, SparseDelta, StateSink, StateSource};
+pub use persist::{
+    Guard, LoadVisitor, Part, Persist, PersistElem, PersistError, Row, SparseDelta, StateSink,
+    StateSource, StateVisitor, StateVisitorMut,
+};
 pub use table::{DirectMapped, FastMod, SetAssociative};

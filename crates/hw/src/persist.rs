@@ -14,14 +14,19 @@
 //!   wire-compatible with `ibp-trace`'s trace-v2 varints, but the code
 //!   is independent: `ibp-hw` sits at the bottom of the crate graph and
 //!   depends on nothing.
-//! * [`Persist`] — the save/load contract. `load_state` restores into an
+//! * [`Persist`] — the component contract: save, load, seal, resident
+//!   bytes and storage rows. `load_state` restores into an
 //!   *already-configured* instance (same geometry as the saved one);
 //!   configuration is carried by the enclosing container, not the blob.
+//! * [`StateVisitor`] / [`StateVisitorMut`] — the walks (save, load,
+//!   seal, resident bytes, storage report) over the components a
+//!   predictor declares once, each named by a [`Part`].
 //! * [`SparseDelta`] — the copy-on-write overlay map used by sealed
 //!   tables: a small open-addressing map from slot index to
 //!   `Option<T>` (`None` records an invalidation that shadows the
 //!   shared base tier).
 
+use crate::bitspec::{ComponentClass, StorageReport};
 use std::fmt;
 
 /// Longest legal varint: 10 bytes covers all 64 bits.
@@ -223,7 +228,8 @@ impl<'a> StateSource<'a> {
     }
 }
 
-/// The save/restore contract for predictor state.
+/// The contract of one predictor component: a table, a register, a
+/// counter.
 ///
 /// `save_state` must emit a deterministic, canonical byte sequence (two
 /// equal states produce equal bytes); `load_state` restores into an
@@ -236,6 +242,256 @@ pub trait Persist {
     /// Restores dynamic state previously written by
     /// [`save_state`](Self::save_state).
     fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError>;
+
+    /// Freezes the contents into an `Arc`-shared base tier with a
+    /// copy-on-write overlay; behaviour must not change.
+    fn seal(&mut self) {}
+
+    /// Heap bytes this instance pays for (only the overlay once sealed).
+    fn resident_bytes(&self) -> usize {
+        0
+    }
+
+    /// Appends the storage rows `part` declares, counted from the live
+    /// allocation (one field per row for a register).
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        part.emit_rows(1, r);
+    }
+}
+
+/// One declared storage row of a component: `width` bits per field of
+/// one class, named `suffix`. A zero width declares no row (a field this
+/// configuration leaves out).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    pub class: ComponentClass,
+    pub width: u64,
+    pub suffix: &'static str,
+}
+
+/// How a predictor names one declared component: a static name, an
+/// optional index within its family (`T3`, `o7`) and its storage rows.
+/// Nothing here allocates; only [`emit_rows`](Self::emit_rows) formats
+/// full names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Part<'a> {
+    pub name: &'static str,
+    pub index: Option<usize>,
+    pub rows: &'a [Row],
+}
+
+impl Part<'_> {
+    /// A part with no name and no rows: state that occupies no storage
+    /// (telemetry, configuration guards).
+    pub const BARE: Part<'static> = Part {
+        name: "",
+        index: None,
+        rows: &[],
+    };
+
+    /// Appends one storage row per declared non-zero-width row, each of
+    /// `count` fields, named `name[index][.suffix]`.
+    pub fn emit_rows(&self, count: u64, r: &mut StorageReport) {
+        for row in self.rows.iter().filter(|row| row.width > 0) {
+            let index = self.index.map(|i| i.to_string()).unwrap_or_default();
+            let dot = if row.suffix.is_empty() { "" } else { "." };
+            let name = format!("{}{index}{dot}{}", self.name, row.suffix);
+            r.table(&name, row.class, count, row.width);
+        }
+    }
+}
+
+/// A walk over declared components by shared reference: saving,
+/// resident bytes and the storage report. Any
+/// `FnMut(Part, &dyn Persist)` closure is one.
+pub trait StateVisitor {
+    /// Visits one declared component.
+    fn visit_part(&mut self, part: Part<'_>, component: &dyn Persist);
+}
+
+impl<F: FnMut(Part<'_>, &dyn Persist)> StateVisitor for F {
+    fn visit_part(&mut self, part: Part<'_>, component: &dyn Persist) {
+        self(part, component);
+    }
+}
+
+/// A walk over declared components by mutable reference: loading and
+/// sealing. Any `FnMut(Part, &mut dyn Persist)` closure is one.
+pub trait StateVisitorMut {
+    /// Visits one declared component.
+    fn visit_part_mut(&mut self, part: Part<'_>, component: &mut dyn Persist);
+
+    /// A check across the components visited so far. Only
+    /// [`LoadVisitor`] acts on it: a blob that breaks it is corrupt.
+    fn reject_unless(&mut self, holds: bool, what: &'static str) {
+        let _ = (holds, what);
+    }
+}
+
+impl<F: FnMut(Part<'_>, &mut dyn Persist)> StateVisitorMut for F {
+    fn visit_part_mut(&mut self, part: Part<'_>, component: &mut dyn Persist) {
+        self(part, component);
+    }
+}
+
+/// Loads each component in declaration order, stopping at the first
+/// error.
+pub struct LoadVisitor<'s, 'a> {
+    src: &'s mut StateSource<'a>,
+    result: Result<(), PersistError>,
+}
+
+impl<'s, 'a> LoadVisitor<'s, 'a> {
+    /// Loads from `src`.
+    pub fn new(src: &'s mut StateSource<'a>) -> Self {
+        Self {
+            src,
+            result: Ok(()),
+        }
+    }
+
+    /// The first error the walk met, if any.
+    pub fn finish(self) -> Result<(), PersistError> {
+        self.result
+    }
+}
+
+impl StateVisitorMut for LoadVisitor<'_, '_> {
+    fn visit_part_mut(&mut self, _part: Part<'_>, component: &mut dyn Persist) {
+        if self.result.is_ok() {
+            self.result = component.load_state(self.src);
+        }
+    }
+
+    fn reject_unless(&mut self, holds: bool, what: &'static str) {
+        if self.result.is_ok() && !holds {
+            self.result = Err(PersistError::Corrupt(what));
+        }
+    }
+}
+
+/// A configuration value a declaration writes into the blob and requires
+/// to match on load (else [`PersistError::Mismatch`] naming the second
+/// field): the geometry guard that keeps a blob out of a
+/// differently-configured instance.
+#[derive(Debug, Clone, Copy)]
+pub struct Guard(pub u64, pub &'static str);
+
+impl Persist for Guard {
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        out.u64(self.0);
+    }
+
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        src.expect_u64(self.0, self.1)
+    }
+}
+
+/// Scalars (counters, PRNG state, table payloads) persist as one varint.
+macro_rules! persist_scalar {
+    ($($t:ident),*) => {$(
+        impl Persist for $t {
+            fn save_state(&self, out: &mut StateSink<'_>) {
+                out.$t(*self);
+            }
+
+            fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+                *self = src.$t()?;
+                Ok(())
+            }
+        }
+
+        impl PersistElem for $t {
+            fn save_elem(&self, out: &mut StateSink<'_>) {
+                out.$t(*self);
+            }
+
+            fn load_elem(src: &mut StateSource<'_>) -> Result<Self, PersistError> {
+                src.$t()
+            }
+        }
+    )*};
+}
+
+persist_scalar!(u64, u32);
+
+/// A history of full values (an idealized model's exact path), oldest
+/// first.
+impl Persist for std::collections::VecDeque<u64> {
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        out.usize(self.len());
+        for &v in self.iter() {
+            out.u64(v);
+        }
+    }
+
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        self.clear();
+        for _ in 0..src.usize()? {
+            self.push_back(src.u64()?);
+        }
+        Ok(())
+    }
+}
+
+/// Writes the occupied slots of a sparse table: their count, then each
+/// slot's absolute index (ascending) and entry.
+pub fn save_sparse<E>(
+    slots: &[Option<E>],
+    out: &mut StateSink<'_>,
+    mut save: impl FnMut(&E, &mut StateSink<'_>),
+) {
+    out.usize(slots.iter().filter(|e| e.is_some()).count());
+    for (idx, entry) in slots.iter().enumerate() {
+        if let Some(e) = entry {
+            out.usize(idx);
+            save(e, out);
+        }
+    }
+}
+
+/// Reads a table written by [`save_sparse`] into `slots`, which keeps
+/// its length. Slot indices must ascend strictly and stay in range.
+pub fn load_sparse<E>(
+    slots: &mut [Option<E>],
+    src: &mut StateSource<'_>,
+    mut load: impl FnMut(&mut StateSource<'_>) -> Result<E, PersistError>,
+) -> Result<(), PersistError> {
+    slots.iter_mut().for_each(|e| *e = None);
+    let mut prev: Option<usize> = None;
+    for _ in 0..src.usize()? {
+        let idx = src.usize()?;
+        if prev.is_some_and(|p| idx <= p) {
+            return Err(PersistError::Corrupt("sparse slot out of order"));
+        }
+        prev = Some(idx);
+        let slot = slots
+            .get_mut(idx)
+            .ok_or(PersistError::Corrupt("sparse slot out of range"))?;
+        *slot = Some(load(src)?);
+    }
+    Ok(())
+}
+
+/// A dense table of optional entries, persisted sparsely: only occupied
+/// slots are written. Never sealed: the tables stored this way mutate
+/// on nearly every update, so an overlay would converge to a full copy.
+impl<E: PersistElem> Persist for Vec<Option<E>> {
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        save_sparse(self, out, E::save_elem);
+    }
+
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        load_sparse(self, src, E::load_elem)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<Option<E>>()
+    }
+
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        part.emit_rows(self.len() as u64, r);
+    }
 }
 
 /// A table element that knows how to serialize itself, letting generic
@@ -405,16 +661,6 @@ impl<T> SparseDelta<T> {
             self.keys[i] = k;
             self.vals[i] = v;
         }
-    }
-}
-
-impl PersistElem for u64 {
-    fn save_elem(&self, out: &mut StateSink<'_>) {
-        out.u64(*self);
-    }
-
-    fn load_elem(src: &mut StateSource<'_>) -> Result<Self, PersistError> {
-        src.u64()
     }
 }
 

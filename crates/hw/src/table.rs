@@ -12,7 +12,7 @@
 //!   associative with true LRU) and by the tagged-PPM ablation.
 //!
 //! For multi-tenant serving, a [`DirectMapped`] table can be
-//! [`sealed`](DirectMapped::seal): its contents move into an `Arc`-shared
+//! [`sealed`](Persist::seal): its contents move into an `Arc`-shared
 //! immutable **base tier** and subsequent writes land in a per-instance
 //! [`SparseDelta`] copy-on-write overlay (read path = delta, then base).
 //! Cloning a sealed table shares the base and clones only the small
@@ -22,7 +22,10 @@
 //! per-way timestamps), so an overlay would converge to a full copy of
 //! the table after one scan and share nothing.
 
-use crate::persist::{Persist, PersistElem, PersistError, SparseDelta, StateSink, StateSource};
+use crate::bitspec::StorageReport;
+use crate::persist::{
+    Part, Persist, PersistElem, PersistError, SparseDelta, StateSink, StateSource,
+};
 use std::sync::Arc;
 
 /// Exact `x % len` via Lemire's fastmod: two multiplies instead of a
@@ -226,16 +229,6 @@ impl<T> DirectMapped<T> {
         }
     }
 
-    /// Heap bytes *this instance* pays for: the full slot array when
-    /// private, only the copy-on-write overlay when sealed (the base
-    /// tier is shared and charged once, not per clone).
-    pub fn resident_bytes(&self) -> usize {
-        match &self.slots {
-            Slots::Private(v) => v.capacity() * std::mem::size_of::<Option<T>>(),
-            Slots::Shared { delta, .. } => delta.resident_bytes(),
-        }
-    }
-
     /// Invalidates every entry and zeroes the eviction tally. A sealed
     /// table reverts to private storage: reset means cold, and a cold
     /// table shares nothing worth keeping.
@@ -292,20 +285,6 @@ impl<T: Clone> DirectMapped<T> {
     pub fn invalidate(&mut self, index: u64) -> Option<T> {
         let slot = self.slot_of(index);
         self.slot_entry_mut(slot).take()
-    }
-
-    /// Freezes the current contents into an immutable, `Arc`-shared
-    /// **base tier** and starts an empty copy-on-write delta. Clones
-    /// taken after sealing share the base and own only their deltas;
-    /// behaviour is proven byte-identical to a private table by the
-    /// differential gate in `ibp-sim`. Re-sealing flattens the current
-    /// delta into a fresh base.
-    pub fn seal(&mut self) {
-        let flat: Vec<Option<T>> = (0..self.len()).map(|i| self.slot_ref(i).cloned()).collect();
-        self.slots = Slots::Shared {
-            base: Arc::new(flat),
-            delta: SparseDelta::new(),
-        };
     }
 }
 
@@ -364,7 +343,9 @@ impl<T: PersistElem + Clone> Persist for DirectMapped<T> {
                 let mut v: Vec<Option<T>> = (0..len).map(|_| None).collect();
                 let mut slot = 0u64;
                 for _ in 0..count {
-                    slot += src.u64()?;
+                    slot = slot
+                        .checked_add(src.u64()?)
+                        .ok_or(PersistError::Corrupt("table slot out of range"))?;
                     let idx = usize::try_from(slot)
                         .ok()
                         .filter(|&i| i < len)
@@ -381,7 +362,9 @@ impl<T: PersistElem + Clone> Persist for DirectMapped<T> {
                 let count = src.usize()?;
                 let mut slot = 0u64;
                 for _ in 0..count {
-                    slot += src.u64()?;
+                    slot = slot
+                        .checked_add(src.u64()?)
+                        .ok_or(PersistError::Corrupt("table slot out of range"))?;
                     let idx = u32::try_from(slot)
                         .ok()
                         .filter(|&k| (k as usize) < len)
@@ -398,6 +381,34 @@ impl<T: PersistElem + Clone> Persist for DirectMapped<T> {
         }
         self.evictions = evictions;
         Ok(())
+    }
+
+    /// Freezes the current contents into an immutable, `Arc`-shared
+    /// **base tier** and starts an empty copy-on-write delta. Clones
+    /// taken after sealing share the base and own only their deltas;
+    /// behaviour is proven byte-identical to a private table by the
+    /// differential gate in `ibp-sim`. Re-sealing flattens the current
+    /// delta into a fresh base.
+    fn seal(&mut self) {
+        let flat: Vec<Option<T>> = (0..self.len()).map(|i| self.slot_ref(i).cloned()).collect();
+        self.slots = Slots::Shared {
+            base: Arc::new(flat),
+            delta: SparseDelta::new(),
+        };
+    }
+
+    /// The full slot array when private, only the copy-on-write overlay
+    /// when sealed (the base tier is shared and charged once, not per
+    /// clone).
+    fn resident_bytes(&self) -> usize {
+        match &self.slots {
+            Slots::Private(v) => v.capacity() * std::mem::size_of::<Option<T>>(),
+            Slots::Shared { delta, .. } => delta.resident_bytes(),
+        }
+    }
+
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        part.emit_rows(self.len() as u64, r);
     }
 }
 
@@ -603,13 +614,6 @@ impl<T> SetAssociative<T> {
         self.clock = 0;
         self.evictions = 0;
     }
-
-    /// Heap bytes of the way array. Set-associative tables are never
-    /// sealed (true-LRU mutates on reads — see the module doc), so the
-    /// whole store is always private, per-instance state.
-    pub fn resident_bytes(&self) -> usize {
-        self.store.capacity() * std::mem::size_of::<Option<Way<T>>>()
-    }
 }
 
 impl<T: PersistElem> Persist for SetAssociative<T> {
@@ -648,7 +652,9 @@ impl<T: PersistElem> Persist for SetAssociative<T> {
         let mut store: Vec<Option<Way<T>>> = (0..cap).map(|_| None).collect();
         let mut slot = 0u64;
         for _ in 0..count {
-            slot += src.u64()?;
+            slot = slot
+                .checked_add(src.u64()?)
+                .ok_or(PersistError::Corrupt("table slot out of range"))?;
             let idx = usize::try_from(slot)
                 .ok()
                 .filter(|&i| i < cap)
@@ -666,6 +672,17 @@ impl<T: PersistElem> Persist for SetAssociative<T> {
         self.clock = clock;
         self.evictions = evictions;
         Ok(())
+    }
+
+    /// The way array. Set-associative tables are never sealed (true-LRU
+    /// mutates on reads — see the module doc), so the whole store is
+    /// always private, per-instance state.
+    fn resident_bytes(&self) -> usize {
+        self.store.capacity() * std::mem::size_of::<Option<Way<T>>>()
+    }
+
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        part.emit_rows(self.capacity() as u64, r);
     }
 }
 

@@ -10,10 +10,10 @@
 //! The paper's Figure 6 shows both to be far behind path-based schemes —
 //! reproducing *that* gap is as much a result as the PPM numbers.
 
+use crate::declare_state;
 use crate::entry::HysteresisEntry;
 use crate::traits::IndirectPredictor;
-use ibp_hw::bitspec::{ComponentClass, StorageReport};
-use ibp_hw::{DirectMapped, HardwareCost, Persist, PersistError, StateSink, StateSource};
+use ibp_hw::{DirectMapped, HardwareCost};
 use ibp_isa::Addr;
 use ibp_trace::BranchEvent;
 
@@ -86,16 +86,8 @@ impl IndirectPredictor for Btb {
         HardwareCost::table(self.table.len() as u64, TARGET_BITS + 1)
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let n = self.table.len() as u64;
-        let mut r = StorageReport::new();
-        r.table("btb.targets", ComponentClass::Target, n, TARGET_BITS)
-            .table("btb.valid", ComponentClass::Metadata, n, 1);
-        r
-    }
-
     fn reset(&mut self) {
-        self.table.clear();
+        *self = Self::new(self.table.len());
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -104,20 +96,8 @@ impl IndirectPredictor for Btb {
         sink("table_evictions", self.table.evictions());
     }
 
-    fn seal(&mut self) {
-        self.table.seal();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.table.resident_bytes()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        self.table.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        self.table.load_state(src)
+    declare_state! { self;
+        "btb" [Target(TARGET_BITS) targets, Metadata(1) valid] => self.table;
     }
 }
 
@@ -170,17 +150,8 @@ impl IndirectPredictor for Btb2b {
         HardwareCost::table(self.table.len() as u64, TARGET_BITS + 2 + 1)
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let n = self.table.len() as u64;
-        let mut r = StorageReport::new();
-        r.table("btb2b.targets", ComponentClass::Target, n, TARGET_BITS)
-            .table("btb2b.conf", ComponentClass::Counter, n, 2)
-            .table("btb2b.valid", ComponentClass::Metadata, n, 1);
-        r
-    }
-
     fn reset(&mut self) {
-        self.table.clear();
+        *self = Self::new(self.table.len());
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -189,20 +160,8 @@ impl IndirectPredictor for Btb2b {
         sink("table_evictions", self.table.evictions());
     }
 
-    fn seal(&mut self) {
-        self.table.seal();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.table.resident_bytes()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        self.table.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        self.table.load_state(src)
+    declare_state! { self;
+        "btb2b" [Target(TARGET_BITS) targets, Counter(2) conf, Metadata(1) valid] => self.table;
     }
 }
 

@@ -12,11 +12,12 @@
 //! dual-path core with tagged 4-way set-associative PHTs (true LRU) and
 //! path lengths 6 and 4.
 
+use crate::declare_state;
 use crate::dual_path::{DualPath, DualPathConfig};
 use crate::entry::HysteresisEntry;
 use crate::traits::IndirectPredictor;
-use ibp_hw::bitspec::{ComponentClass, StorageReport};
-use ibp_hw::{HardwareCost, Persist, PersistError, SetAssociative, StateSink, StateSource};
+use ibp_hw::bitspec::StorageReport;
+use ibp_hw::{HardwareCost, Part, Persist, PersistError, SetAssociative, StateSink, StateSource};
 use ibp_isa::Addr;
 use ibp_trace::BranchEvent;
 
@@ -68,16 +69,6 @@ impl LeakyFilter {
         }
     }
 
-    /// Total entries.
-    pub fn capacity(&self) -> usize {
-        self.table.capacity()
-    }
-
-    /// Clears all entries.
-    pub fn reset(&mut self) {
-        self.table.clear();
-    }
-
     /// Occupied filter ways.
     pub fn occupancy(&self) -> usize {
         self.table.occupancy()
@@ -87,21 +78,25 @@ impl LeakyFilter {
     pub fn evictions(&self) -> u64 {
         self.table.evictions()
     }
+}
 
-    /// Heap bytes held by the filter (always private: set-associative
-    /// true-LRU state mutates on reads, so it never seals).
-    pub fn resident_bytes(&self) -> usize {
-        self.table.resident_bytes()
-    }
-
-    /// Serializes the filter contents.
-    pub fn save_state(&self, out: &mut StateSink<'_>) {
+/// The filter's table. Always private: set-associative true-LRU state
+/// mutates on reads, so it never seals.
+impl Persist for LeakyFilter {
+    fn save_state(&self, out: &mut StateSink<'_>) {
         self.table.save_state(out);
     }
 
-    /// Restores filter contents saved by [`save_state`](Self::save_state).
-    pub fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
         self.table.load_state(src)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.table.resident_bytes()
+    }
+
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        self.table.report_rows(part, r);
     }
 }
 
@@ -215,21 +210,8 @@ impl IndirectPredictor for Cascade {
         self.core.cost() + HardwareCost::table(self.config.filter_entries as u64, 64 + 30 + 2 + 1)
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let n = self.filter.capacity() as u64;
-        let mut r = StorageReport::new();
-        r.table("filter.tags", ComponentClass::Tag, n, 30)
-            .table("filter.targets", ComponentClass::Target, n, 64)
-            .table("filter.conf", ComponentClass::Counter, n, 2)
-            .table("filter.valid", ComponentClass::Metadata, n, 1)
-            .extend_from(&self.core.report_storage());
-        r
-    }
-
     fn reset(&mut self) {
-        self.filter.reset();
-        self.core.reset();
-        self.last = None;
+        *self = Self::new(self.config);
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -238,26 +220,10 @@ impl IndirectPredictor for Cascade {
         self.core.report_metrics(sink);
     }
 
-    fn seal(&mut self) {
-        // Only the core's tagless structures can seal; the paper Cascade
-        // core is tagged set-associative, so this seals the selector table.
-        self.core.seal();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.filter.resident_bytes() + self.core.resident_bytes()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        self.filter.save_state(out);
-        self.core.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        self.filter.load_state(src)?;
-        self.core.load_state(src)?;
-        self.last = None;
-        Ok(())
+    declare_state! { self;
+        "filter" [Tag(30) tags, Target(64) targets, Counter(2) conf, Metadata(1) valid]
+            => self.filter;
+        nested self.core;
     }
 }
 

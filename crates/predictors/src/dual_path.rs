@@ -9,13 +9,14 @@
 //! predictor reuses this structure with *tagged* 4-way set-associative
 //! tables and path lengths 6 and 4.
 
+use crate::declare_state;
 use crate::entry::HysteresisEntry;
 use crate::history_group::HistoryGroup;
 use crate::traits::IndirectPredictor;
+use ibp_hw::bitspec::StorageReport;
 use ibp_hw::counter::Saturating2Bit;
-use ibp_hw::bitspec::{ComponentClass, StorageReport};
 use ibp_hw::{
-    DirectMapped, HardwareCost, PathHistory, Persist, PersistError, ReverseInterleave,
+    DirectMapped, HardwareCost, Part, PathHistory, Persist, PersistError, ReverseInterleave,
     SetAssociative, StateSink, StateSource,
 };
 use ibp_isa::Addr;
@@ -26,6 +27,45 @@ use ibp_trace::BranchEvent;
 enum ComponentTable {
     Tagless(DirectMapped<HysteresisEntry>),
     Tagged(SetAssociative<HysteresisEntry>),
+}
+
+/// Whichever table the component holds. Only a tagless table seals:
+/// tagged set-associative tables stay private (true-LRU timestamps
+/// mutate on reads, so an overlay would converge to a full copy).
+impl Persist for ComponentTable {
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        match self {
+            ComponentTable::Tagless(t) => t.save_state(out),
+            ComponentTable::Tagged(t) => t.save_state(out),
+        }
+    }
+
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        match self {
+            ComponentTable::Tagless(t) => t.load_state(src),
+            ComponentTable::Tagged(t) => t.load_state(src),
+        }
+    }
+
+    fn seal(&mut self) {
+        if let ComponentTable::Tagless(t) = self {
+            t.seal();
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        match self {
+            ComponentTable::Tagless(t) => t.resident_bytes(),
+            ComponentTable::Tagged(t) => t.resident_bytes(),
+        }
+    }
+
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        match self {
+            ComponentTable::Tagless(t) => t.report_rows(part, r),
+            ComponentTable::Tagged(t) => t.report_rows(part, r),
+        }
+    }
 }
 
 /// One GAp-style component with its own path length.
@@ -97,14 +137,6 @@ impl PathComponent {
         self.phr.push(target.path_bits());
     }
 
-    fn reset(&mut self) {
-        match &mut self.table {
-            ComponentTable::Tagless(t) => t.clear(),
-            ComponentTable::Tagged(t) => t.clear(),
-        }
-        self.phr.clear();
-    }
-
     fn entries(&self) -> usize {
         match &self.table {
             ComponentTable::Tagless(t) => t.len(),
@@ -124,38 +156,6 @@ impl PathComponent {
             ComponentTable::Tagless(t) => t.evictions(),
             ComponentTable::Tagged(t) => t.evictions(),
         }
-    }
-
-    /// Tagless tables seal into a shared base; tagged set-associative
-    /// tables stay private (true-LRU timestamps mutate on reads, so an
-    /// overlay would converge to a full copy anyway).
-    fn seal(&mut self) {
-        if let ComponentTable::Tagless(t) = &mut self.table {
-            t.seal();
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        match &self.table {
-            ComponentTable::Tagless(t) => t.resident_bytes(),
-            ComponentTable::Tagged(t) => t.resident_bytes(),
-        }
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        match &self.table {
-            ComponentTable::Tagless(t) => t.save_state(out),
-            ComponentTable::Tagged(t) => t.save_state(out),
-        }
-        self.phr.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        match &mut self.table {
-            ComponentTable::Tagless(t) => t.load_state(src)?,
-            ComponentTable::Tagged(t) => t.load_state(src)?,
-        }
-        self.phr.load_state(src)
     }
 }
 
@@ -376,36 +376,8 @@ impl IndirectPredictor for DualPath {
         self.cost_components() + HardwareCost::register(2 * self.config.selector_entries as u64)
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let mut r = StorageReport::new();
-        for (name, comp) in [("short", &self.short), ("long", &self.long)] {
-            let n = comp.entries() as u64;
-            if self.config.tagged {
-                r.table(&format!("{name}.tags"), ComponentClass::Tag, n, 30);
-            }
-            r.table(&format!("{name}.targets"), ComponentClass::Target, n, 64)
-                .table(&format!("{name}.conf"), ComponentClass::Counter, n, 2)
-                .table(&format!("{name}.valid"), ComponentClass::Metadata, n, 1);
-        }
-        r.table(
-            "selectors",
-            ComponentClass::Counter,
-            self.selectors.len() as u64,
-            2,
-        )
-        .register(
-            "phr",
-            ComponentClass::History,
-            2 * self.config.phr_bits as u64,
-        );
-        r
-    }
-
     fn reset(&mut self) {
-        self.short.reset();
-        self.long.reset();
-        self.selectors.clear();
-        self.last = None;
+        *self = Self::new(self.config);
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -428,30 +400,22 @@ impl IndirectPredictor for DualPath {
         );
     }
 
-    fn seal(&mut self) {
-        self.short.seal();
-        self.long.seal();
-        self.selectors.seal();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.short.resident_bytes()
-            + self.long.resident_bytes()
-            + self.selectors.resident_bytes()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        self.short.save_state(out);
-        self.long.save_state(out);
-        self.selectors.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        self.short.load_state(src)?;
-        self.long.load_state(src)?;
-        self.selectors.load_state(src)?;
-        self.last = None;
-        Ok(())
+    declare_state! { self;
+        "short" [
+            Tag(if self.config.tagged { 30 } else { 0 }) tags,
+            Target(64) targets,
+            Counter(2) conf,
+            Metadata(1) valid,
+        ] => self.short.table;
+        "short" [History(self.config.phr_bits as u64) phr] => self.short.phr;
+        "long" [
+            Tag(if self.config.tagged { 30 } else { 0 }) tags,
+            Target(64) targets,
+            Counter(2) conf,
+            Metadata(1) valid,
+        ] => self.long.table;
+        "long" [History(self.config.phr_bits as u64) phr] => self.long.phr;
+        "selectors" [Counter(2)] => self.selectors;
     }
 }
 

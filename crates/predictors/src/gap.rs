@@ -7,13 +7,11 @@
 //! register recording the 2 low-order bits of each of the last 5 targets,
 //! gshare indexing, and a 2-bit update counter per entry.
 
+use crate::declare_state;
 use crate::entry::HysteresisEntry;
 use crate::history_group::HistoryGroup;
 use crate::traits::IndirectPredictor;
-use ibp_hw::bitspec::{ComponentClass, StorageReport};
-use ibp_hw::{
-    gshare, DirectMapped, HardwareCost, PathHistory, Persist, PersistError, StateSink, StateSource,
-};
+use ibp_hw::{gshare, DirectMapped, HardwareCost, PathHistory};
 use ibp_isa::Addr;
 use ibp_trace::BranchEvent;
 
@@ -156,21 +154,8 @@ impl IndirectPredictor for GApPredictor {
             + HardwareCost::register(self.phr.total_bits() as u64)
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let n: u64 = self.banks.iter().map(|b| b.len() as u64).sum();
-        let mut r = StorageReport::new();
-        r.table("pht.targets", ComponentClass::Target, n, 64)
-            .table("pht.conf", ComponentClass::Counter, n, 2)
-            .table("pht.valid", ComponentClass::Metadata, n, 1)
-            .register("phr", ComponentClass::History, self.phr.total_bits() as u64);
-        r
-    }
-
     fn reset(&mut self) {
-        for b in self.banks.iter_mut() {
-            b.clear();
-        }
-        self.phr.clear();
+        *self = Self::new(self.config);
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -185,30 +170,12 @@ impl IndirectPredictor for GApPredictor {
         );
     }
 
-    fn seal(&mut self) {
-        for b in self.banks.iter_mut() {
-            b.seal();
+    declare_state! { self;
+        guard self.banks.len() as u64, "GAp bank count";
+        for b in (0..self.banks.len()) {
+            "pht"(b) [Target(64) targets, Counter(2) conf, Metadata(1) valid] => self.banks[b];
         }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.banks.iter().map(|b| b.resident_bytes()).sum()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        out.usize(self.banks.len());
-        for b in &self.banks {
-            b.save_state(out);
-        }
-        self.phr.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        src.expect_u64(self.banks.len() as u64, "GAp bank count")?;
-        for b in self.banks.iter_mut() {
-            b.load_state(src)?;
-        }
-        self.phr.load_state(src)
+        "phr" [History(self.phr.total_bits() as u64)] => self.phr;
     }
 }
 

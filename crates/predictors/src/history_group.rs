@@ -19,18 +19,18 @@ pub enum HistoryGroup {
     /// Every branch (the paper's **PB** — Per-Branch correlation). Taken
     /// conditional branches contribute their target; not-taken ones their
     /// fall-through address, so the path encodes directions too.
-    AllBranches,
+    AllBranches = 0,
     /// Every indirect branch, including ST calls and returns (the paper's
     /// **PIB** — Per-Indirect-Branch correlation: "the targets of all
     /// indirect branches", §4).
-    AllIndirect,
+    AllIndirect = 1,
     /// Only multiple-target `jmp`/`jsr` — the stream Driesen & Hölzle's
     /// GAp/Dpath record ("the history of MT jsr and jmp instructions", §5).
-    MtIndirect,
+    MtIndirect = 2,
     /// Only calls and returns (one of Chang et al.'s groups).
-    CallsReturns,
+    CallsReturns = 3,
     /// Only conditional branches (one of Chang et al.'s groups).
-    Conditional,
+    Conditional = 4,
 }
 
 impl HistoryGroup {
@@ -45,6 +45,12 @@ impl HistoryGroup {
             HistoryGroup::CallsReturns => class.is_call() || class.is_return(),
             HistoryGroup::Conditional => matches!(class, BranchClass::ConditionalDirect),
         }
+    }
+
+    /// The group's code (its discriminant) in persisted blobs, where it
+    /// guards against loading into a predictor fed by another group.
+    pub fn code(self) -> u64 {
+        self as u64
     }
 }
 

@@ -21,23 +21,18 @@
 //! This is deliberately small (no u-bit aging epochs, no confidence-based
 //! alt-pred arbitration table); it is an epilogue, not a tuned ITTAGE.
 
+use crate::declare_state;
 use crate::history_group::HistoryGroup;
 use crate::traits::IndirectPredictor;
-use ibp_hw::bitspec::{ComponentClass, StorageReport};
+use ibp_hw::bitspec::StorageReport;
 use ibp_hw::counter::Saturating2Bit;
-use ibp_hw::{FoldedHistory, HardwareCost, Persist, PersistError, StateSink, StateSource};
+use ibp_hw::persist::{load_sparse, save_sparse};
+use ibp_hw::{
+    FoldedHistory, HardwareCost, Part, Persist, PersistElem, PersistError, StateSink, StateSource,
+};
 use ibp_isa::Addr;
 use ibp_trace::BranchEvent;
-
-fn group_code(group: HistoryGroup) -> u64 {
-    match group {
-        HistoryGroup::AllBranches => 0,
-        HistoryGroup::AllIndirect => 1,
-        HistoryGroup::MtIndirect => 2,
-        HistoryGroup::CallsReturns => 3,
-        HistoryGroup::Conditional => 4,
-    }
-}
+use std::ops::{Deref, DerefMut};
 
 /// One tagged-table entry.
 #[derive(Debug, Clone, Copy)]
@@ -46,6 +41,62 @@ struct TageEntry {
     target: Addr,
     confidence: Saturating2Bit,
     useful: bool,
+}
+
+impl PersistElem for TageEntry {
+    fn save_elem(&self, out: &mut StateSink<'_>) {
+        out.u64(u64::from(self.tag));
+        out.u64(self.target.raw());
+        self.confidence.save_elem(out);
+        out.bool(self.useful);
+    }
+
+    fn load_elem(src: &mut StateSource<'_>) -> Result<Self, PersistError> {
+        let tag =
+            u16::try_from(src.u64()?).map_err(|_| PersistError::Corrupt("ITTAGE tag too wide"))?;
+        Ok(Self {
+            tag,
+            target: Addr::new(src.u64()?),
+            confidence: Saturating2Bit::load_elem(src)?,
+            useful: src.bool()?,
+        })
+    }
+}
+
+/// The base BTB: one optional target per slot, persisted sparsely.
+#[derive(Debug, Clone)]
+struct BaseTargets(Vec<Option<Addr>>);
+
+impl Deref for BaseTargets {
+    type Target = Vec<Option<Addr>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for BaseTargets {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl Persist for BaseTargets {
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        save_sparse(self, out, |t, out| out.u64(t.raw()));
+    }
+
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        load_sparse(self, src, |src| Ok(Addr::new(src.u64()?)))
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<Option<Addr>>()
+    }
+
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        part.emit_rows(self.len() as u64, r);
+    }
 }
 
 /// One tagged component (its history window length lives in the matching
@@ -109,7 +160,7 @@ impl IttageConfig {
 #[derive(Debug, Clone)]
 pub struct Ittage {
     config: IttageConfig,
-    base: Vec<Option<Addr>>,
+    base: BaseTargets,
     tables: Vec<TageTable>,
     /// One incrementally folded history per tagged table (geometrically
     /// longer windows; see `ibp_hw::folded`).
@@ -134,7 +185,7 @@ impl Ittage {
         let longest = config.min_history_bits << (config.tables - 1);
         assert!(longest <= 128, "longest history exceeds 128 bits");
         Self {
-            base: vec![None; config.base_entries],
+            base: BaseTargets(vec![None; config.base_entries]),
             tables: (0..config.tables)
                 .map(|_| TageTable {
                     entries: vec![None; config.table_entries],
@@ -324,160 +375,41 @@ impl IndirectPredictor for Ittage {
         base + tagged + HardwareCost::register(128)
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let base_n = self.base.len() as u64;
-        let tagged_n: u64 = self.tables.iter().map(|t| t.entries.len() as u64).sum();
-        let mut r = StorageReport::new();
-        r.table("base.targets", ComponentClass::Target, base_n, 64)
-            .table("base.valid", ComponentClass::Metadata, base_n, 1)
-            .table(
-                "tagged.tags",
-                ComponentClass::Tag,
-                tagged_n,
-                self.config.tag_bits as u64,
-            )
-            .table("tagged.targets", ComponentClass::Target, tagged_n, 64)
-            .table("tagged.conf", ComponentClass::Counter, tagged_n, 2)
-            .table("tagged.useful", ComponentClass::Useful, tagged_n, 1)
-            .table("tagged.valid", ComponentClass::Metadata, tagged_n, 1)
-            .register("folds", ComponentClass::History, 128);
-        r
-    }
-
     fn reset(&mut self) {
-        self.base.iter_mut().for_each(|e| *e = None);
-        for t in self.tables.iter_mut() {
-            t.entries.iter_mut().for_each(|e| *e = None);
-        }
-        for f in self.folds.iter_mut() {
-            f.clear();
-        }
-        self.lfsr = 0xACE1;
-        self.last = None;
+        *self = Self::new(self.config);
     }
 
-    fn resident_bytes(&self) -> usize {
-        // ITTAGE stays fully private (allocation scans and useful-bit decay
-        // mutate on nearly every update, so a COW overlay would converge to
-        // a full copy); charge the dense tables plus the history rings.
-        self.base.capacity() * std::mem::size_of::<Option<Addr>>()
-            + self
-                .tables
-                .iter()
-                .map(|t| t.entries.capacity() * std::mem::size_of::<Option<TageEntry>>())
-                .sum::<usize>()
-            + self
-                .folds
-                .iter()
-                .map(|f| f.len() * std::mem::size_of::<u64>())
-                .sum::<usize>()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        let c = &self.config;
-        out.usize(c.base_entries);
-        out.usize(c.table_entries);
-        out.usize(c.tables);
-        out.u64(c.min_history_bits as u64);
-        out.u64(c.tag_bits as u64);
-        out.u64(group_code(c.group));
-        out.u64(self.lfsr as u64);
-        // Base BTB: occupied slots in ascending index order (canonical).
-        let occupied = self.base.iter().filter(|e| e.is_some()).count();
-        out.usize(occupied);
-        for (idx, target) in self.base.iter().enumerate() {
-            if let Some(t) = target {
-                out.usize(idx);
-                out.u64(t.raw());
-            }
+    declare_state! { self;
+        guard self.config.base_entries as u64, "ITTAGE base entries";
+        guard self.config.table_entries as u64, "ITTAGE table entries";
+        guard self.config.tables as u64, "ITTAGE table count";
+        guard u64::from(self.config.min_history_bits), "ITTAGE min history bits";
+        guard u64::from(self.config.tag_bits), "ITTAGE tag bits";
+        guard self.config.group.code(), "ITTAGE history group";
+        "lfsr" [] => self.lfsr;
+        "base" [Target(64) targets, Metadata(1) valid] => self.base;
+        for t in (0..self.tables.len()) {
+            "tagged"(t) [
+                Tag(u64::from(self.config.tag_bits)) tags,
+                Target(64) targets,
+                Counter(2) conf,
+                Useful(1) useful,
+                Metadata(1) valid,
+            ] => self.tables[t].entries;
         }
-        // Tagged tables, likewise sparse and ascending.
-        for table in &self.tables {
-            let occupied = table.entries.iter().filter(|e| e.is_some()).count();
-            out.usize(occupied);
-            for (idx, entry) in table.entries.iter().enumerate() {
-                if let Some(e) = entry {
-                    out.usize(idx);
-                    out.u64(e.tag as u64);
-                    out.u64(e.target.raw());
-                    out.u8(e.confidence.value() as u8);
-                    out.bool(e.useful);
-                }
-            }
+        check self.tables.iter().flat_map(|t| t.entries.iter().flatten())
+            .all(|e| u64::from(e.tag) >> self.config.tag_bits == 0), "ITTAGE tag too wide";
+        // The folds share one 128-bit history budget, charged once.
+        for f in (0..self.folds.len()) {
+            "folds" [History(if f == 0 { 128 } else { 0 })] => self.folds[f];
         }
-        for f in &self.folds {
-            f.save_state(out);
-        }
-    }
-
-    // ibp-lint: allow(L007, "entry counts are validated against the component geometry before the loop")
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        let c = self.config;
-        src.expect_u64(c.base_entries as u64, "ITTAGE base entries")?;
-        src.expect_u64(c.table_entries as u64, "ITTAGE table entries")?;
-        src.expect_u64(c.tables as u64, "ITTAGE table count")?;
-        src.expect_u64(c.min_history_bits as u64, "ITTAGE min history bits")?;
-        src.expect_u64(c.tag_bits as u64, "ITTAGE tag bits")?;
-        src.expect_u64(group_code(c.group), "ITTAGE history group")?;
-        let lfsr = src.u64()?;
-        if lfsr > u32::MAX as u64 {
-            return Err(PersistError::Corrupt("ITTAGE lfsr out of range"));
-        }
-        let tag_mask = (1u64 << c.tag_bits) - 1;
-        let mut base = vec![None; c.base_entries];
-        let n = src.usize()?;
-        let mut prev: Option<usize> = None;
-        for _ in 0..n {
-            let idx = src.usize()?;
-            if idx >= c.base_entries || prev.is_some_and(|p| idx <= p) {
-                return Err(PersistError::Corrupt("ITTAGE base slot out of order"));
-            }
-            prev = Some(idx);
-            base[idx] = Some(Addr::new(src.u64()?));
-        }
-        let mut tables = Vec::with_capacity(c.tables);
-        for _ in 0..c.tables {
-            let mut entries = vec![None; c.table_entries];
-            let n = src.usize()?;
-            let mut prev: Option<usize> = None;
-            for _ in 0..n {
-                let idx = src.usize()?;
-                if idx >= c.table_entries || prev.is_some_and(|p| idx <= p) {
-                    return Err(PersistError::Corrupt("ITTAGE tagged slot out of order"));
-                }
-                prev = Some(idx);
-                let tag = src.u64()?;
-                if tag > tag_mask {
-                    return Err(PersistError::Corrupt("ITTAGE tag too wide"));
-                }
-                let target = Addr::new(src.u64()?);
-                let conf = src.u8()?;
-                if conf > 3 {
-                    return Err(PersistError::Corrupt("ITTAGE confidence out of range"));
-                }
-                entries[idx] = Some(TageEntry {
-                    tag: tag as u16,
-                    target,
-                    confidence: Saturating2Bit::new(conf as u32),
-                    useful: src.bool()?,
-                });
-            }
-            tables.push(TageTable { entries });
-        }
-        for f in self.folds.iter_mut() {
-            f.load_state(src)?;
-        }
-        self.base = base;
-        self.tables = tables;
-        self.lfsr = lfsr as u32;
-        self.last = None;
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PredictorState;
 
     fn drive(p: &mut Ittage, pc: Addr, target: Addr) -> bool {
         let hit = p.predict(pc) == Some(target);

@@ -28,14 +28,16 @@
 //! [`Ittage64Config::for_budget`] bisects a uniform table scale with
 //! [`ibp_hw::bitspec::solve_entries`] and then tops the base BTB up with
 //! the remaining slack, landing within one base entry (67 bits) of the
-//! declared budget. [`Ittage64::report_storage`] re-derives the bits from
-//! the live allocated state so the `bitreport` audit can prove the claim.
+//! declared budget. The storage report walked from its declared state
+//! re-derives the bits from the live allocated state so the `bitreport`
+//! audit can prove the claim.
 
+use crate::declare_state;
 use crate::history_group::HistoryGroup;
 use crate::traits::IndirectPredictor;
-use ibp_hw::bitspec::{solve_entries, ComponentClass, StorageReport};
+use ibp_hw::bitspec::solve_entries;
 use ibp_hw::counter::{Saturating2Bit, SaturatingCounter};
-use ibp_hw::{FoldedHistory, HardwareCost, Persist, PersistError, StateSink, StateSource};
+use ibp_hw::{FoldedHistory, HardwareCost, PersistElem, PersistError, StateSink, StateSource};
 use ibp_isa::Addr;
 use ibp_testkit::splitmix64;
 use ibp_trace::BranchEvent;
@@ -86,16 +88,6 @@ fn register_bits() -> u64 {
         .map(|i| (INDEX_FOLD_BITS + TAG_BITS[i] + (TAG_BITS[i] - 1)) as u64)
         .sum();
     ghist + csrs + USE_ALT_BITS as u64 + TICK_BITS + PRNG_BITS
-}
-
-fn group_code(group: HistoryGroup) -> u64 {
-    match group {
-        HistoryGroup::AllBranches => 0,
-        HistoryGroup::AllIndirect => 1,
-        HistoryGroup::MtIndirect => 2,
-        HistoryGroup::CallsReturns => 3,
-        HistoryGroup::Conditional => 4,
-    }
 }
 
 /// Configuration of [`Ittage64`], derived from a declared bit budget.
@@ -168,7 +160,7 @@ impl Ittage64Config {
     }
 
     /// The storage bits this configuration occupies (config-derived; the
-    /// live-state audit is [`Ittage64::report_storage`]).
+    /// live-state audit is the declared state's storage report).
     pub fn storage_bits(&self) -> u64 {
         self.base_entries as u64 * BASE_ENTRY_BITS
             + (0..NUM_TABLES)
@@ -195,6 +187,46 @@ struct BaseEntry {
     confidence: Saturating2Bit,
 }
 
+impl PersistElem for T64Entry {
+    fn save_elem(&self, out: &mut StateSink<'_>) {
+        out.u64(u64::from(self.tag));
+        out.u64(self.target.raw());
+        self.confidence.save_elem(out);
+        out.u8(self.useful);
+    }
+
+    fn load_elem(src: &mut StateSource<'_>) -> Result<Self, PersistError> {
+        let tag = u16::try_from(src.u64()?)
+            .map_err(|_| PersistError::Corrupt("ITTAGE64 tag too wide"))?;
+        let (target, confidence) = (Addr::new(src.u64()?), Saturating2Bit::load_elem(src)?);
+        match src.u8()? {
+            useful @ 0..=3 => Ok(Self {
+                tag,
+                target,
+                confidence,
+                useful,
+            }),
+            _ => Err(PersistError::Corrupt(
+                "ITTAGE64 useful counter out of range",
+            )),
+        }
+    }
+}
+
+impl PersistElem for BaseEntry {
+    fn save_elem(&self, out: &mut StateSink<'_>) {
+        out.u64(self.target.raw());
+        self.confidence.save_elem(out);
+    }
+
+    fn load_elem(src: &mut StateSource<'_>) -> Result<Self, PersistError> {
+        Ok(Self {
+            target: Addr::new(src.u64()?),
+            confidence: Saturating2Bit::load_elem(src)?,
+        })
+    }
+}
+
 /// Lookup state carried from fetch to resolve.
 #[derive(Debug, Clone, Copy)]
 struct Lookup {
@@ -217,7 +249,7 @@ struct Lookup {
 ///
 /// ```
 /// use ibp_isa::Addr;
-/// use ibp_predictors::{Ittage64, Ittage64Config, IndirectPredictor};
+/// use ibp_predictors::{Ittage64, Ittage64Config, IndirectPredictor, PredictorState};
 ///
 /// let mut p = Ittage64::new(Ittage64Config::budget_64kb());
 /// p.update(Addr::new(0x40), Addr::new(0x900));
@@ -579,9 +611,9 @@ impl IndirectPredictor for Ittage64 {
     }
 
     fn cost(&self) -> HardwareCost {
-        // Config-derived declaration; report_storage() re-derives the
-        // same inventory from the live allocated state and bitreport
-        // audits the two against each other.
+        // Config-derived declaration; the declared state's storage report
+        // re-derives the same inventory from the live allocated state and
+        // bitreport audits the two against each other.
         let c = &self.config;
         let base = HardwareCost::table(c.base_entries as u64, BASE_ENTRY_BITS);
         let tagged: HardwareCost = (0..NUM_TABLES)
@@ -590,60 +622,8 @@ impl IndirectPredictor for Ittage64 {
         base + tagged + HardwareCost::register(register_bits())
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let mut r = StorageReport::new();
-        let base_n = self.base.len() as u64;
-        r.table("base.targets", ComponentClass::Target, base_n, 64)
-            .table("base.conf", ComponentClass::Counter, base_n, 2)
-            .table("base.valid", ComponentClass::Metadata, base_n, 1);
-        for (i, table) in self.tables.iter().enumerate() {
-            let n = table.len() as u64;
-            let t = &format!("T{i}");
-            r.table(&format!("{t}.tags"), ComponentClass::Tag, n, TAG_BITS[i] as u64)
-                .table(&format!("{t}.targets"), ComponentClass::Target, n, 64)
-                .table(&format!("{t}.conf"), ComponentClass::Counter, n, 2)
-                .table(&format!("{t}.useful"), ComponentClass::Useful, n, 2)
-                .table(&format!("{t}.valid"), ComponentClass::Metadata, n, 1);
-        }
-        r.register(
-            "path_history",
-            ComponentClass::History,
-            (HIST_EVENTS[NUM_TABLES - 1] * 4) as u64,
-        );
-        for (i, tag_bits) in TAG_BITS.into_iter().enumerate() {
-            r.register(
-                &format!("T{i}.csrs"),
-                ComponentClass::History,
-                (INDEX_FOLD_BITS + tag_bits + (tag_bits - 1)) as u64,
-            );
-        }
-        r.register("use_alt_on_na", ComponentClass::Counter, USE_ALT_BITS as u64)
-            .register("aging_tick", ComponentClass::Metadata, TICK_BITS)
-            .register("alloc_prng", ComponentClass::Metadata, PRNG_BITS);
-        r
-    }
-
     fn reset(&mut self) {
-        self.base.iter_mut().for_each(|e| *e = None);
-        for t in self.tables.iter_mut() {
-            t.iter_mut().for_each(|e| *e = None);
-        }
-        for f in self
-            .idx_folds
-            .iter_mut()
-            .chain(self.tag_folds1.iter_mut())
-            .chain(self.tag_folds2.iter_mut())
-        {
-            f.clear();
-        }
-        self.use_alt_on_na = SaturatingCounter::new(USE_ALT_BITS, 8);
-        self.tick = 0;
-        self.rng = ALLOC_SEED;
-        self.last = None;
-        self.epochs = 0;
-        self.stat_allocs = 0;
-        self.stat_alloc_fails = 0;
-        self.stat_alt_overrides = 0;
+        *self = Self::new(self.config);
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -666,172 +646,57 @@ impl IndirectPredictor for Ittage64 {
         sink("ittage64.use_alt_on_na", self.use_alt_on_na.value() as u64);
     }
 
-    fn resident_bytes(&self) -> usize {
-        // Fully private, like ITTAGE-lite: allocation scans and u-decay
-        // mutate on nearly every update, so COW overlays would converge
-        // to a full copy. Charge the dense tables plus the fold rings.
-        self.base.capacity() * std::mem::size_of::<Option<BaseEntry>>()
-            + self
-                .tables
-                .iter()
-                .map(|t| t.capacity() * std::mem::size_of::<Option<T64Entry>>())
-                .sum::<usize>()
-            + self
-                .idx_folds
-                .iter()
-                .chain(self.tag_folds1.iter())
-                .chain(self.tag_folds2.iter())
-                .map(|f| f.len() * std::mem::size_of::<u64>())
-                .sum::<usize>()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        let c = &self.config;
-        out.u64(c.budget_bits);
-        out.usize(c.base_entries);
-        out.usize(c.table_entries);
-        out.u64(c.aging_period as u64);
-        out.u64(group_code(c.group));
-        out.u64(self.rng);
-        out.u64(self.tick as u64);
-        out.u64(self.epochs);
-        out.u64(self.use_alt_on_na.value() as u64);
-        out.u64(self.stat_allocs);
-        out.u64(self.stat_alloc_fails);
-        out.u64(self.stat_alt_overrides);
-        // Base BTB: occupied slots in ascending index order (canonical).
-        let occupied = self.base.iter().filter(|e| e.is_some()).count();
-        out.usize(occupied);
-        for (idx, entry) in self.base.iter().enumerate() {
-            if let Some(b) = entry {
-                out.usize(idx);
-                out.u64(b.target.raw());
-                out.u8(b.confidence.value() as u8);
-            }
+    // Fully private, like ITTAGE-lite: allocation scans and u-decay
+    // mutate on nearly every update, so COW overlays would converge to a
+    // full copy. Tables are written sparse and ascending (canonical).
+    declare_state! { self;
+        guard self.config.budget_bits, "ITTAGE64 budget bits";
+        guard self.config.base_entries as u64, "ITTAGE64 base entries";
+        guard self.config.table_entries as u64, "ITTAGE64 table entries";
+        guard u64::from(self.config.aging_period), "ITTAGE64 aging period";
+        guard self.config.group.code(), "ITTAGE64 history group";
+        "alloc_prng" [Metadata(PRNG_BITS)] => self.rng;
+        "aging_tick" [Metadata(TICK_BITS)] => self.tick;
+        check self.tick < self.config.aging_period, "ITTAGE64 tick past aging period";
+        "epochs" [] => self.epochs;
+        "use_alt_on_na" [Counter(u64::from(USE_ALT_BITS))] => self.use_alt_on_na;
+        "allocs" [] => self.stat_allocs;
+        "alloc_fails" [] => self.stat_alloc_fails;
+        "alt_overrides" [] => self.stat_alt_overrides;
+        "base" [Target(64) targets, Counter(2) conf, Metadata(1) valid] => self.base;
+        for i in (0..NUM_TABLES) {
+            "T"(i) [
+                Tag(u64::from(TAG_BITS[i])) tags,
+                Target(64) targets,
+                Counter(2) conf,
+                Useful(2) useful,
+                Metadata(1) valid,
+            ] => self.tables[i];
         }
-        // Tagged tables, likewise sparse and ascending.
-        for table in &self.tables {
-            let occupied = table.iter().filter(|e| e.is_some()).count();
-            out.usize(occupied);
-            for (idx, entry) in table.iter().enumerate() {
-                if let Some(e) = entry {
-                    out.usize(idx);
-                    out.u64(e.tag as u64);
-                    out.u64(e.target.raw());
-                    out.u8(e.confidence.value() as u8);
-                    out.u8(e.useful);
-                }
-            }
+        check self.tables.iter().zip(TAG_BITS)
+            .all(|(t, bits)| t.iter().flatten().all(|e| e.tag >> bits == 0)),
+            "ITTAGE64 tag too wide";
+        // The longest index fold's window is the global path history
+        // register; every shorter window is a prefix of it.
+        for i in (0..NUM_TABLES) {
+            "T"(i) [
+                History(u64::from(INDEX_FOLD_BITS)) index_csr,
+                History(if i == NUM_TABLES - 1 { HIST_EVENTS[i] as u64 * 4 } else { 0 }) path_history,
+            ] => self.idx_folds[i];
         }
-        for f in self
-            .idx_folds
-            .iter()
-            .chain(self.tag_folds1.iter())
-            .chain(self.tag_folds2.iter())
-        {
-            f.save_state(out);
+        for i in (0..NUM_TABLES) {
+            "T"(i) [History(u64::from(TAG_BITS[i])) tag_csr1] => self.tag_folds1[i];
         }
-    }
-
-    // ibp-lint: allow(L007, "entry counts are validated against the component geometry before the loop")
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        let c = self.config;
-        src.expect_u64(c.budget_bits, "ITTAGE64 budget bits")?;
-        src.expect_u64(c.base_entries as u64, "ITTAGE64 base entries")?;
-        src.expect_u64(c.table_entries as u64, "ITTAGE64 table entries")?;
-        src.expect_u64(c.aging_period as u64, "ITTAGE64 aging period")?;
-        src.expect_u64(group_code(c.group), "ITTAGE64 history group")?;
-        let rng = src.u64()?;
-        let tick = src.u64()?;
-        if tick >= c.aging_period as u64 {
-            return Err(PersistError::Corrupt("ITTAGE64 tick past aging period"));
+        for i in (0..NUM_TABLES) {
+            "T"(i) [History(u64::from(TAG_BITS[i] - 1)) tag_csr2] => self.tag_folds2[i];
         }
-        let epochs = src.u64()?;
-        let use_alt = src.u64()?;
-        if use_alt > (1 << USE_ALT_BITS) - 1 {
-            return Err(PersistError::Corrupt("ITTAGE64 use-alt counter too wide"));
-        }
-        let stat_allocs = src.u64()?;
-        let stat_alloc_fails = src.u64()?;
-        let stat_alt_overrides = src.u64()?;
-        let mut base = vec![None; c.base_entries];
-        let n = src.usize()?;
-        let mut prev: Option<usize> = None;
-        for _ in 0..n {
-            let idx = src.usize()?;
-            if idx >= c.base_entries || prev.is_some_and(|p| idx <= p) {
-                return Err(PersistError::Corrupt("ITTAGE64 base slot out of order"));
-            }
-            prev = Some(idx);
-            let target = Addr::new(src.u64()?);
-            let conf = src.u8()?;
-            if conf > 3 {
-                return Err(PersistError::Corrupt("ITTAGE64 base confidence out of range"));
-            }
-            base[idx] = Some(BaseEntry {
-                target,
-                confidence: Saturating2Bit::new(conf as u32),
-            });
-        }
-        let mut tables = Vec::with_capacity(NUM_TABLES);
-        for tag_bits in TAG_BITS {
-            let tag_mask = (1u64 << tag_bits) - 1;
-            let mut entries = vec![None; c.table_entries];
-            let n = src.usize()?;
-            let mut prev: Option<usize> = None;
-            for _ in 0..n {
-                let idx = src.usize()?;
-                if idx >= c.table_entries || prev.is_some_and(|p| idx <= p) {
-                    return Err(PersistError::Corrupt("ITTAGE64 tagged slot out of order"));
-                }
-                prev = Some(idx);
-                let tag = src.u64()?;
-                if tag > tag_mask {
-                    return Err(PersistError::Corrupt("ITTAGE64 tag too wide"));
-                }
-                let target = Addr::new(src.u64()?);
-                let conf = src.u8()?;
-                if conf > 3 {
-                    return Err(PersistError::Corrupt("ITTAGE64 confidence out of range"));
-                }
-                let useful = src.u8()?;
-                if useful > 3 {
-                    return Err(PersistError::Corrupt("ITTAGE64 useful counter out of range"));
-                }
-                entries[idx] = Some(T64Entry {
-                    tag: tag as u16,
-                    target,
-                    confidence: Saturating2Bit::new(conf as u32),
-                    useful,
-                });
-            }
-            tables.push(entries);
-        }
-        for f in self
-            .idx_folds
-            .iter_mut()
-            .chain(self.tag_folds1.iter_mut())
-            .chain(self.tag_folds2.iter_mut())
-        {
-            f.load_state(src)?;
-        }
-        self.base = base;
-        self.tables = tables;
-        self.rng = rng;
-        self.tick = tick as u32;
-        self.epochs = epochs;
-        self.use_alt_on_na.set(use_alt as u32);
-        self.stat_allocs = stat_allocs;
-        self.stat_alloc_fails = stat_alloc_fails;
-        self.stat_alt_overrides = stat_alt_overrides;
-        self.last = None;
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PredictorState;
 
     fn drive(p: &mut Ittage64, pc: Addr, target: Addr) -> bool {
         let hit = p.predict(pc) == Some(target);

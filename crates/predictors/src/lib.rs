@@ -25,7 +25,10 @@
 //!   workload validation.
 //!
 //! The common contract is [`IndirectPredictor`]; the simulator in `ibp-sim`
-//! drives any implementation through it.
+//! drives any implementation through it. Each predictor declares its
+//! state once with [`declare_state!`], and [`PredictorState`] derives
+//! save, load, seal, resident bytes and the storage report from that
+//! declaration.
 
 pub mod btb;
 pub mod cascade;
@@ -51,4 +54,7 @@ pub use ittage64::{Ittage64, Ittage64Config};
 pub use oracle::{FrequencyOracle, PathOracle};
 pub use ras::ReturnAddressStack;
 pub use target_cache::{TargetCache, TargetCacheConfig};
-pub use traits::IndirectPredictor;
+pub use traits::{IndirectPredictor, PredictorState};
+
+#[doc(hidden)]
+pub use ibp_hw as __hw;

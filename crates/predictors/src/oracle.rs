@@ -10,14 +10,16 @@
 //!   *frequent* next target (the original Markov-model semantics the paper
 //!   approximates with most-recent-target entries, §4).
 
+use crate::declare_state;
 use crate::history_group::HistoryGroup;
 use crate::traits::IndirectPredictor;
 use ibp_exec::FastMap;
-use ibp_hw::bitspec::{ComponentClass, StorageReport};
-use ibp_hw::{HardwareCost, PersistError, StateSink, StateSource};
+use ibp_hw::bitspec::StorageReport;
+use ibp_hw::{HardwareCost, Part, Persist, PersistError, StateSink, StateSource};
 use ibp_isa::Addr;
 use ibp_trace::BranchEvent;
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 /// Exact path context: the full target addresses of the last `depth`
 /// branches of the selected group.
@@ -52,42 +54,111 @@ impl ExactPath {
             self.targets.push_back(event.target().raw());
         }
     }
+}
 
-    fn clear(&mut self) {
-        self.targets.clear();
+/// Exact `(branch, path)` contexts, each mapped to a value: the path
+/// oracle's most recent target, or a [`VoteTable`]'s votes.
+#[derive(Debug, Clone, Default)]
+pub struct ContextMap<V>(FastMap<(u64, Vec<u64>), V>);
+
+/// Per-context target votes (`target → count`). The frequency oracle
+/// and each order of the idealized PPM hold one.
+pub type VoteTable = ContextMap<FastMap<u64, u64>>;
+
+impl<V> Deref for ContextMap<V> {
+    type Target = FastMap<(u64, Vec<u64>), V>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
+}
 
-    fn group_code(&self) -> u64 {
-        match self.group {
-            HistoryGroup::AllBranches => 0,
-            HistoryGroup::AllIndirect => 1,
-            HistoryGroup::MtIndirect => 2,
-            HistoryGroup::CallsReturns => 3,
-            HistoryGroup::Conditional => 4,
+impl<V> DerefMut for ContextMap<V> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl<V> ContextMap<V> {
+    /// Writes the contexts sorted by key, so the bytes are canonical
+    /// whatever the map's iteration order; `put` writes each value.
+    fn save_with(&self, out: &mut StateSink<'_>, mut put: impl FnMut(&V, &mut StateSink<'_>)) {
+        let mut items: Vec<_> = self.iter().collect();
+        items.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        out.usize(items.len());
+        for ((pc, path), value) in items {
+            out.u64(*pc);
+            out.usize(path.len());
+            path.iter().for_each(|&t| out.u64(t));
+            put(value, out);
         }
     }
 
+    fn load_with(
+        &mut self,
+        src: &mut StateSource<'_>,
+        mut get: impl FnMut(&mut StateSource<'_>) -> Result<V, PersistError>,
+    ) -> Result<(), PersistError> {
+        self.clear();
+        for _ in 0..src.usize()? {
+            let pc = src.u64()?;
+            let path = (0..src.usize()?).map(|_| src.u64()).collect::<Result<_, _>>()?;
+            let value = get(src)?;
+            self.insert((pc, path), value);
+        }
+        Ok(())
+    }
+}
+
+impl Persist for ContextMap<Addr> {
     fn save_state(&self, out: &mut StateSink<'_>) {
-        out.usize(self.depth);
-        out.u64(self.group_code());
-        out.usize(self.targets.len());
-        for &t in &self.targets {
-            out.u64(t);
-        }
+        self.save_with(out, |target, out| out.u64(target.raw()));
     }
 
     fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        src.expect_u64(self.depth as u64, "oracle path depth")?;
-        src.expect_u64(self.group_code(), "oracle history group")?;
-        let n = src.usize()?;
-        if n > self.depth {
-            return Err(PersistError::Corrupt("oracle path overfull"));
-        }
-        self.targets.clear();
-        for _ in 0..n {
-            self.targets.push_back(src.u64()?);
-        }
-        Ok(())
+        self.load_with(src, |src| Ok(Addr::new(src.u64()?)))
+    }
+
+    /// Map overhead is hash-impl-specific; charge the logical payload:
+    /// key (pc + path targets) + value per context.
+    fn resident_bytes(&self) -> usize {
+        self.keys()
+            .map(|(_, path)| (2 + path.len()) * std::mem::size_of::<u64>())
+            .sum()
+    }
+
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        part.emit_rows(self.len() as u64, r);
+    }
+}
+
+impl Persist for VoteTable {
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        self.save_with(out, |votes, out| {
+            let mut votes: Vec<_> = votes.iter().collect();
+            votes.sort_unstable();
+            out.usize(votes.len());
+            for (&target, &count) in votes {
+                out.u64(target);
+                out.u64(count);
+            }
+        });
+    }
+
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        self.load_with(src, |src| {
+            let mut votes = FastMap::new();
+            for _ in 0..src.usize()? {
+                let target = src.u64()?;
+                votes.insert(target, src.u64()?);
+            }
+            Ok(votes)
+        })
+    }
+
+    /// One field per `(context, target)` vote.
+    fn report_rows(&self, part: Part<'_>, r: &mut StorageReport) {
+        part.emit_rows(self.values().map(|m| m.len() as u64).sum(), r);
     }
 }
 
@@ -106,7 +177,7 @@ impl ExactPath {
 #[derive(Debug, Clone)]
 pub struct PathOracle {
     path: ExactPath,
-    table: FastMap<(u64, Vec<u64>), Addr>,
+    table: ContextMap<Addr>,
 }
 
 impl PathOracle {
@@ -114,7 +185,7 @@ impl PathOracle {
     pub fn new(depth: usize, group: HistoryGroup) -> Self {
         Self {
             path: ExactPath::new(depth, group),
-            table: FastMap::new(),
+            table: ContextMap(FastMap::new()),
         }
     }
 
@@ -156,69 +227,21 @@ impl IndirectPredictor for PathOracle {
         )
     }
 
-    fn report_storage(&self) -> StorageReport {
-        // Unbounded reference model: the inventory is the live footprint,
-        // not a hardware budget (bitreport marks oracles idealized).
-        let n = self.table.len() as u64;
-        let mut r = StorageReport::new();
-        r.table("contexts.targets", ComponentClass::Target, n, 64).table(
-            "contexts.keys",
-            ComponentClass::Metadata,
-            n,
-            64 + self.path.depth as u64 * 64,
-        );
-        r
-    }
-
     fn reset(&mut self) {
-        self.table.clear();
-        self.path.clear();
+        *self = Self::new(self.path.depth, self.path.group);
     }
 
-    fn resident_bytes(&self) -> usize {
-        // Map overhead is hash-impl-specific; charge the logical payload:
-        // key (pc + path targets) + value per context.
-        self.table
-            .iter()
-            .map(|((_, path), _)| (2 + path.len()) * std::mem::size_of::<u64>())
-            .sum()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        // Contexts sorted by (pc, path) so the bytes are canonical
-        // regardless of hash-map iteration order.
-        self.path.save_state(out);
-        let mut items: Vec<(&(u64, Vec<u64>), &Addr)> = self.table.iter().collect();
-        items.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        out.usize(items.len());
-        for ((pc, path), target) in items {
-            out.u64(*pc);
-            out.usize(path.len());
-            for &t in path {
-                out.u64(t);
-            }
-            out.u64(target.raw());
-        }
-    }
-
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        self.path.load_state(src)?;
-        self.table.clear();
-        let count = src.usize()?;
-        for _ in 0..count {
-            let pc = src.u64()?;
-            let n = src.usize()?;
-            if n > self.path.depth {
-                return Err(PersistError::Corrupt("oracle context path overfull"));
-            }
-            let mut path = Vec::with_capacity(n);
-            for _ in 0..n {
-                path.push(src.u64()?);
-            }
-            let target = Addr::new(src.u64()?);
-            self.table.insert((pc, path), target);
-        }
-        Ok(())
+    // The inventory is the live footprint, not a hardware budget: an
+    // unbounded reference model (bitreport marks oracles idealized).
+    declare_state! { self;
+        guard self.path.depth as u64, "oracle path depth";
+        guard self.path.group.code(), "oracle history group";
+        "path" [] => self.path.targets;
+        check self.path.targets.len() <= self.path.depth, "oracle path overfull";
+        "contexts" [Target(64) targets, Metadata(64 + self.path.depth as u64 * 64) keys]
+            => self.table;
+        check self.table.keys().all(|(_, path)| path.len() <= self.path.depth),
+            "oracle context path overfull";
     }
 }
 
@@ -230,7 +253,7 @@ impl IndirectPredictor for PathOracle {
 #[derive(Debug, Clone)]
 pub struct FrequencyOracle {
     path: ExactPath,
-    table: FastMap<(u64, Vec<u64>), FastMap<u64, u64>>,
+    table: VoteTable,
 }
 
 impl FrequencyOracle {
@@ -238,7 +261,7 @@ impl FrequencyOracle {
     pub fn new(depth: usize, group: HistoryGroup) -> Self {
         Self {
             path: ExactPath::new(depth, group),
-            table: FastMap::new(),
+            table: VoteTable::default(),
         }
     }
 
@@ -282,23 +305,20 @@ impl IndirectPredictor for FrequencyOracle {
         )
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let n: u64 = self.table.values().map(|m| m.len() as u64).sum();
-        let mut r = StorageReport::new();
-        r.table("contexts.targets", ComponentClass::Target, n, 64)
-            .table(
-                "contexts.keys",
-                ComponentClass::Metadata,
-                n,
-                64 + self.path.depth as u64 * 64,
-            )
-            .table("contexts.counts", ComponentClass::Counter, n, 32);
-        r
+    fn reset(&mut self) {
+        *self = Self::new(self.path.depth, self.path.group);
     }
 
-    fn reset(&mut self) {
-        self.table.clear();
-        self.path.clear();
+    declare_state! { self;
+        guard self.path.depth as u64, "oracle path depth";
+        guard self.path.group.code(), "oracle history group";
+        "path" [] => self.path.targets;
+        check self.path.targets.len() <= self.path.depth, "oracle path overfull";
+        "contexts" [
+            Target(64) targets,
+            Metadata(64 + self.path.depth as u64 * 64) keys,
+            Counter(32) counts,
+        ] => self.table;
     }
 }
 

@@ -7,13 +7,11 @@
 //! target cache with an 11-bit history of previous *indirect-branch*
 //! targets (2 low-order bits each; the oldest target contributes one bit).
 
+use crate::declare_state;
 use crate::entry::HysteresisEntry;
 use crate::history_group::HistoryGroup;
 use crate::traits::IndirectPredictor;
-use ibp_hw::bitspec::{ComponentClass, StorageReport};
-use ibp_hw::{
-    DirectMapped, HardwareCost, PathHistory, Persist, PersistError, StateSink, StateSource,
-};
+use ibp_hw::{DirectMapped, HardwareCost, PathHistory};
 use ibp_isa::Addr;
 use ibp_trace::BranchEvent;
 
@@ -150,24 +148,8 @@ impl IndirectPredictor for TargetCache {
             + HardwareCost::register(self.config.history_bits as u64)
     }
 
-    fn report_storage(&self) -> StorageReport {
-        let n = self.table.len() as u64;
-        let mut r = StorageReport::new();
-        r.table("tc.targets", ComponentClass::Target, n, 64);
-        if self.config.hysteresis {
-            r.table("tc.conf", ComponentClass::Counter, n, 2);
-        }
-        r.table("tc.valid", ComponentClass::Metadata, n, 1).register(
-            "phr",
-            ComponentClass::History,
-            self.config.history_bits as u64,
-        );
-        r
-    }
-
     fn reset(&mut self) {
-        self.table.clear();
-        self.phr.clear();
+        *self = Self::new(self.config);
     }
 
     fn report_metrics(&self, sink: &mut dyn FnMut(&str, u64)) {
@@ -176,22 +158,13 @@ impl IndirectPredictor for TargetCache {
         sink("table_evictions", self.table.evictions());
     }
 
-    fn seal(&mut self) {
-        self.table.seal();
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.table.resident_bytes()
-    }
-
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        self.table.save_state(out);
-        self.phr.save_state(out);
-    }
-
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        self.table.load_state(src)?;
-        self.phr.load_state(src)
+    declare_state! { self;
+        "tc" [
+            Target(64) targets,
+            Counter(if self.config.hysteresis { 2 } else { 0 }) conf,
+            Metadata(1) valid,
+        ] => self.table;
+        "phr" [History(self.config.history_bits as u64)] => self.phr;
     }
 }
 

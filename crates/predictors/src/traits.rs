@@ -1,7 +1,11 @@
-//! The common predictor contract.
+//! The common predictor contract, and the state walks derived from each
+//! predictor's declaration of its state.
 
 use ibp_hw::bitspec::StorageReport;
-use ibp_hw::{HardwareCost, PersistError, StateSink, StateSource};
+use ibp_hw::{
+    HardwareCost, LoadVisitor, Part, Persist, PersistError, StateSink, StateSource, StateVisitor,
+    StateVisitorMut,
+};
 use ibp_isa::Addr;
 use ibp_trace::BranchEvent;
 
@@ -26,6 +30,15 @@ use ibp_trace::BranchEvent;
 ///
 /// Implementations must be deterministic: the same call sequence produces
 /// the same predictions.
+///
+/// A predictor declares its state once, with [`declare_state!`]: each
+/// table, register and counter with its name, bitspec class and width.
+/// [`PredictorState`] derives every state walk from that declaration, so
+/// no walk can miss a component another one covers. [`cost`](Self::cost)
+/// stays derived from the configuration, and the storage report audits
+/// it independently.
+///
+/// [`declare_state!`]: crate::declare_state
 pub trait IndirectPredictor {
     /// A short human-readable name, e.g. `"BTB2b"` or `"PPM-hyb"`.
     fn name(&self) -> String;
@@ -45,24 +58,11 @@ pub trait IndirectPredictor {
     /// maintenance. Called after `update` for predicted branches.
     fn observe(&mut self, event: &BranchEvent);
 
-    /// The hardware cost of this configuration.
+    /// The hardware cost this configuration declares.
     fn cost(&self) -> HardwareCost;
 
-    /// The structured storage inventory of this *instance*, built from its
-    /// live allocated state (actual container lengths), component by
-    /// component — tags, targets, counters, useful bits, history
-    /// registers, metadata.
-    ///
-    /// This is the auditable counterpart of [`cost`](Self::cost): `cost`
-    /// states what the configuration *declares*, `report_storage` states
-    /// what was *allocated*. The `bitreport` bench gates the two against
-    /// each other (≤1% divergence). The default wraps `cost()` in a
-    /// single opaque legacy component; every zoo predictor overrides it.
-    fn report_storage(&self) -> StorageReport {
-        StorageReport::legacy(self.cost())
-    }
-
-    /// Clears all dynamic state, returning the predictor to power-on.
+    /// Returns the predictor to power-on: a rebuild from its own
+    /// configuration.
     fn reset(&mut self);
 
     /// Streams this predictor's internal telemetry — occupancy, eviction,
@@ -77,38 +77,14 @@ pub trait IndirectPredictor {
         let _ = sink;
     }
 
-    /// Freezes the current table contents into immutable, `Arc`-shared
-    /// base tiers with copy-on-write overlays, so clones of this
-    /// predictor share the bulk of their memory and pay only for
-    /// divergence. Prediction behaviour must be unaffected (the sim
-    /// layer's differential gate enforces byte-identical results).
-    /// Default: no-op, for predictors without shareable tables.
-    fn seal(&mut self) {}
-
-    /// Heap bytes this *instance* pays for: full tables when private,
-    /// only the copy-on-write deltas once sealed. Default 0 for
-    /// predictors that don't account their memory.
-    fn resident_bytes(&self) -> usize {
-        0
+    /// Visits every declared component, in blob order. Default: no state.
+    fn visit_state(&self, v: &mut dyn StateVisitor) {
+        let _ = v;
     }
 
-    /// Serializes the dynamic state (tables, histories, telemetry) to the
-    /// sink. A sealed predictor writes only its deltas. Must be called at
-    /// an event boundary (after `observe`, before the next `predict`);
-    /// in-flight predict→update lookup state is not captured. The bytes
-    /// are canonical: identical state yields identical blobs. Default:
-    /// writes nothing (paired with the default `load_state`).
-    fn save_state(&self, out: &mut StateSink<'_>) {
-        let _ = out;
-    }
-
-    /// Restores state saved by [`save_state`](Self::save_state) into an
-    /// identically-configured instance (and, for delta blobs, one sealed
-    /// from the same base). Geometry mismatches fail with
-    /// [`PersistError::Mismatch`]. Default: accepts the empty blob.
-    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        let _ = src;
-        Ok(())
+    /// The same visit by mutable reference. Default: no state.
+    fn visit_state_mut(&mut self, v: &mut dyn StateVisitorMut) {
+        let _ = v;
     }
 }
 
@@ -133,10 +109,6 @@ impl<P: IndirectPredictor + ?Sized> IndirectPredictor for Box<P> {
         (**self).cost()
     }
 
-    fn report_storage(&self) -> StorageReport {
-        (**self).report_storage()
-    }
-
     fn reset(&mut self) {
         (**self).reset()
     }
@@ -145,21 +117,171 @@ impl<P: IndirectPredictor + ?Sized> IndirectPredictor for Box<P> {
         (**self).report_metrics(sink)
     }
 
-    fn seal(&mut self) {
-        (**self).seal()
+    fn visit_state(&self, v: &mut dyn StateVisitor) {
+        (**self).visit_state(v)
     }
 
-    fn resident_bytes(&self) -> usize {
-        (**self).resident_bytes()
+    fn visit_state_mut(&mut self, v: &mut dyn StateVisitorMut) {
+        (**self).visit_state_mut(v)
     }
+}
 
+/// The state walks every predictor derives from its declared state. The
+/// blanket impl is the only one, so no predictor walks its state by hand.
+pub trait PredictorState {
+    /// Serializes the dynamic state (tables, histories, telemetry); a
+    /// sealed predictor writes only its deltas. Call at an event boundary:
+    /// in-flight predict→update lookup state is not captured. Equal
+    /// states yield equal bytes.
+    fn save_state(&self, out: &mut StateSink<'_>);
+
+    /// Restores a saved state into an identically-configured instance
+    /// (for delta blobs, one sealed from the same base). Geometry
+    /// mismatches fail with [`PersistError::Mismatch`]; on any error the
+    /// state is unspecified.
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError>;
+
+    /// Freezes the tables into `Arc`-shared base tiers with copy-on-write
+    /// overlays, so clones pay only for divergence. Predictions are
+    /// unaffected (the sim layer's differential gate holds this).
+    fn seal(&mut self);
+
+    /// Heap bytes this instance pays for: full tables when private, only
+    /// the copy-on-write deltas once sealed.
+    fn resident_bytes(&self) -> usize;
+
+    /// Every declared component's storage rows, counted from its live
+    /// allocation; `bitreport` gates it against [`IndirectPredictor::cost`].
+    fn report_storage(&self) -> StorageReport;
+}
+
+impl<P: IndirectPredictor + ?Sized> PredictorState for P {
     fn save_state(&self, out: &mut StateSink<'_>) {
-        (**self).save_state(out)
+        self.visit_state(&mut |_: Part<'_>, c: &dyn Persist| c.save_state(out));
     }
 
     fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
-        (**self).load_state(src)
+        let mut v = LoadVisitor::new(src);
+        self.visit_state_mut(&mut v);
+        v.finish()
     }
+
+    fn seal(&mut self) {
+        self.visit_state_mut(&mut |_: Part<'_>, c: &mut dyn Persist| c.seal());
+    }
+
+    fn resident_bytes(&self) -> usize {
+        let mut bytes = 0;
+        self.visit_state(&mut |_: Part<'_>, c: &dyn Persist| bytes += c.resident_bytes());
+        bytes
+    }
+
+    fn report_storage(&self) -> StorageReport {
+        let mut r = StorageReport::new();
+        self.visit_state(&mut |part: Part<'_>, c: &dyn Persist| c.report_rows(part, &mut r));
+        r
+    }
+}
+
+/// Declares a predictor's state once, inside its `impl IndirectPredictor`
+/// block, and expands to both [`IndirectPredictor::visit_state`] and
+/// [`IndirectPredictor::visit_state_mut`].
+///
+/// The items, in blob order:
+///
+/// * `"name"(index) [Class(width) suffix, ...] => place;` — a component
+///   (any [`ibp_hw::Persist`]) with its storage rows. The index and the
+///   row suffixes are optional; a zero width leaves the row out.
+/// * `guard value, "what";` — a configuration value written to the blob
+///   and required to match on load.
+/// * `check condition, "what";` — a cross-field invariant of the
+///   components above it; a loaded blob that breaks it is corrupt.
+/// * `nested place;` — another predictor's declared state, inline.
+/// * `for i in (range) { items }` — a family of components.
+///
+/// GAp's declaration, for instance:
+///
+/// ```text
+/// declare_state! { self;
+///     guard self.banks.len() as u64, "GAp bank count";
+///     for b in (0..self.banks.len()) {
+///         "pht"(b) [Target(64) targets, Counter(2) conf, Metadata(1) valid] => self.banks[b];
+///     }
+///     "phr" [History(self.phr.total_bits() as u64)] => self.phr;
+/// }
+/// ```
+#[macro_export]
+macro_rules! declare_state {
+    ($s:ident; $($items:tt)*) => {
+        fn visit_state(&$s, v: &mut dyn $crate::__hw::StateVisitor) {
+            $crate::__state_items!(shared v; $($items)*);
+        }
+
+        fn visit_state_mut(&mut $s, v: &mut dyn $crate::__hw::StateVisitorMut) {
+            $crate::__state_items!(mutable v; $($items)*);
+        }
+    };
+}
+
+/// The item muncher behind [`declare_state!`]: one rule per item kind
+/// and visit mode.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __state_items {
+    ($mode:ident $v:ident;) => {};
+    ($mode:ident $v:ident; guard $value:expr, $what:literal; $($rest:tt)*) => {
+        $crate::__state_part!($mode $v, $crate::__hw::Part::BARE, $crate::__hw::Guard($value, $what));
+        $crate::__state_items!($mode $v; $($rest)*);
+    };
+    (shared $v:ident; check $holds:expr, $what:literal; $($rest:tt)*) => {
+        $crate::__state_items!(shared $v; $($rest)*);
+    };
+    (mutable $v:ident; check $holds:expr, $what:literal; $($rest:tt)*) => {
+        $v.reject_unless($holds, $what);
+        $crate::__state_items!(mutable $v; $($rest)*);
+    };
+    (shared $v:ident; nested $place:expr; $($rest:tt)*) => {
+        $crate::IndirectPredictor::visit_state(&$place, $v);
+        $crate::__state_items!(shared $v; $($rest)*);
+    };
+    (mutable $v:ident; nested $place:expr; $($rest:tt)*) => {
+        $crate::IndirectPredictor::visit_state_mut(&mut $place, $v);
+        $crate::__state_items!(mutable $v; $($rest)*);
+    };
+    ($mode:ident $v:ident; for $i:ident in ($($range:tt)*) { $($body:tt)* } $($rest:tt)*) => {
+        for $i in $($range)* {
+            $crate::__state_items!($mode $v; $($body)*);
+        }
+        $crate::__state_items!($mode $v; $($rest)*);
+    };
+    ($mode:ident $v:ident;
+        $name:literal $(($index:expr))? [$($class:ident($width:expr) $($suffix:ident)?),* $(,)?]
+        => $place:expr; $($rest:tt)*
+    ) => {
+        $crate::__state_part!($mode $v, $crate::__hw::Part {
+            name: $name,
+            index: None $(.or(Some($index)))?,
+            rows: &[$($crate::__hw::Row {
+                class: $crate::__hw::ComponentClass::$class,
+                width: $width,
+                suffix: concat!("" $(, stringify!($suffix))?),
+            }),*],
+        }, $place);
+        $crate::__state_items!($mode $v; $($rest)*);
+    };
+}
+
+/// One component visit of [`declare_state!`], by shared or mutable
+/// reference.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __state_part {
+    (shared $v:ident, $part:expr, $place:expr) => {
+        $v.visit_part($part, &$place)
+    };
+    (mutable $v:ident, $part:expr, $place:expr) => {
+        $v.visit_part_mut($part, &mut $place)
+    };
 }
 
 #[cfg(test)]
@@ -193,8 +315,105 @@ mod tests {
         }
 
         fn reset(&mut self) {
-            self.last = None;
+            *self = Self::default();
         }
+    }
+
+    /// A one-table predictor with a telemetry counter, declared with
+    /// every item kind.
+    struct Declared {
+        table: ibp_hw::DirectMapped<u64>,
+        hits: u64,
+    }
+
+    impl IndirectPredictor for Declared {
+        fn name(&self) -> String {
+            "declared".into()
+        }
+
+        fn predict(&mut self, pc: Addr) -> Option<Addr> {
+            self.table.get(pc.raw()).map(|&t| Addr::new(t))
+        }
+
+        fn update(&mut self, pc: Addr, actual: Addr) {
+            self.hits += u64::from(self.predict(pc) == Some(actual));
+            self.table.insert(pc.raw(), actual.raw());
+        }
+
+        fn observe(&mut self, _event: &BranchEvent) {}
+
+        fn cost(&self) -> HardwareCost {
+            HardwareCost::table(self.table.len() as u64, 65)
+        }
+
+        fn reset(&mut self) {
+            *self = Declared {
+                table: ibp_hw::DirectMapped::new(self.table.len()),
+                hits: 0,
+            };
+        }
+
+        declare_state! { self;
+            guard self.table.len() as u64, "table length";
+            for i in (0..1) {
+                "last"(i) [Target(64) targets, Metadata(1) valid, Tag(0) tags] => self.table;
+            }
+            "hits" [] => self.hits;
+            check self.hits <= self.table.len() as u64 * 1000, "hits out of range";
+        }
+    }
+
+    fn declared(len: usize) -> Declared {
+        Declared {
+            table: ibp_hw::DirectMapped::new(len),
+            hits: 0,
+        }
+    }
+
+    #[test]
+    fn declared_state_drives_every_walk() {
+        let mut p = declared(16);
+        for _ in 0..3 {
+            p.update(Addr::new(0x40), Addr::new(0x900));
+        }
+        let report = p.report_storage();
+        assert_eq!(report.total_bits(), p.cost().bits());
+        let names: Vec<&str> = report
+            .components()
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            ["last0.targets", "last0.valid"],
+            "zero-width rows are left out"
+        );
+        assert_eq!(p.resident_bytes(), p.table.resident_bytes());
+
+        let mut blob = Vec::new();
+        p.save_state(&mut StateSink::new(&mut blob));
+        let mut q = declared(16);
+        q.load_state(&mut StateSource::new(&blob)).unwrap();
+        assert_eq!(
+            (q.hits, q.predict(Addr::new(0x40))),
+            (2, Some(Addr::new(0x900)))
+        );
+        assert_eq!(
+            declared(8).load_state(&mut StateSource::new(&blob)),
+            Err(PersistError::Mismatch("table length"))
+        );
+
+        p.seal();
+        assert!(p.table.is_sealed());
+        p.hits = u64::MAX;
+        let mut blob = Vec::new();
+        p.save_state(&mut StateSink::new(&mut blob));
+        let mut sealed = declared(16);
+        sealed.seal();
+        assert_eq!(
+            sealed.load_state(&mut StateSource::new(&blob)),
+            Err(PersistError::Corrupt("hits out of range"))
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use ibp_exec::Executor;
 use ibp_isa::Addr;
-use ibp_predictors::{HistoryGroup, IndirectPredictor, Ittage64, Ittage64Config};
+use ibp_predictors::{HistoryGroup, IndirectPredictor, Ittage64, Ittage64Config, PredictorState};
 use ibp_testkit::{prop_assert, prop_assert_eq, splitmix64, Prop};
 use ibp_trace::BranchEvent;
 

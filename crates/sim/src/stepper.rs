@@ -21,7 +21,7 @@
 use crate::runner::RunResult;
 use ibp_exec::FastMap;
 use ibp_hw::{PersistError, StateSink, StateSource};
-use ibp_predictors::IndirectPredictor;
+use ibp_predictors::{IndirectPredictor, PredictorState};
 use ibp_trace::BranchEvent;
 
 /// Initial per-branch map capacity, matching the offline runner's.

@@ -198,6 +198,8 @@ mod tests {
         assert_eq!(e.target(), Addr::new(0x104));
     }
 
+    // Debug builds only: BranchEvent::new checks taken-ness with debug_assert! only (per-event path).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "always taken")]
     fn unconditional_not_taken_panics() {
@@ -210,6 +212,8 @@ mod tests {
         );
     }
 
+    // Debug builds only: BranchEvent::new checks the target with debug_assert! only (per-event path).
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "must have a target")]
     fn taken_without_target_panics() {

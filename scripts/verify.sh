@@ -79,7 +79,9 @@ cargo test -q --offline
 echo "== benchmark unit tests (ibpbench) =="
 # ibpbench is a package of its own that builds against the workspace
 # crates by path, so this also proves their public APIs still serve it.
-cargo test -q --offline --manifest-path ibpbench/Cargo.toml
+# --locked: a dependency edge added or dropped in a crate it builds fails
+# here instead of silently rewriting ibpbench/Cargo.lock.
+cargo test -q --offline --locked --manifest-path ibpbench/Cargo.toml
 
 echo "== benchmark smoke (all four workloads at 1/20 size) =="
 # Every workload must run clean and reproduce its golden digest.
@@ -91,8 +93,13 @@ echo "== multi-tenant memory differential (delta ≡ private, snapshot round-tri
 # sealed base+delta sessions must produce byte-identical RunResult JSON
 # to private tables for every zoo predictor, and snapshot → restore →
 # continue must be bit-identical including mid-window interruptions.
+# Every predictor's blobs, resident bytes and audited storage keep their
+# pinned digests, reset equals a fresh build, and corrupt snapshot blobs
+# end in a typed error, never a panic.
 cargo test -q --offline -p ibp-sim --test memory_differential
 cargo test -q --offline -p ibp-sim --test snapshot_roundtrip
+cargo test -q --offline -p ibp-sim --test predictor_state
+cargo test -q --offline -p ibp-sim --test snapshot_hostile
 
 echo "== PPM reference models (every prediction vs a plain model) =="
 # PPM-hyb (normal and PIB-biased) and PPM-PIB against a model that keeps
