@@ -8,16 +8,14 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin ablate_hash [scale]`
 
+use ibp_bench::figure_args;
 use ibp_ppm::{IndexScheme, PpmHybrid, SelectorKind, StackConfig};
 use ibp_sim::report::pct;
 use ibp_sim::simulate;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = figure_args("ablate_hash [scale]", 0.25, &[], &[]).scale;
     println!("=== A5: PPM index generation variants (scale {scale}) ===\n");
     println!(
         "{:<12} {:>14} {:>12} {:>14}",

@@ -9,16 +9,14 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin ablate_ideal [scale]`
 
+use ibp_bench::figure_args;
 use ibp_ppm::{IdealPpm, PpmHybrid};
 use ibp_sim::report::pct;
 use ibp_sim::simulate;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = figure_args("ablate_ideal [scale]", 0.25, &[], &[]).scale;
     println!("=== A3: hardware PPM vs idealized frequency-voting PPM (scale {scale}) ===\n");
     println!(
         "{:<12} {:>12} {:>12} {:>10}",

@@ -8,16 +8,14 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin ablate_tags [scale]`
 
+use ibp_bench::figure_args;
 use ibp_ppm::{PpmHybrid, SelectorKind, StackConfig};
 use ibp_sim::report::pct;
 use ibp_sim::simulate;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = figure_args("ablate_tags [scale]", 0.25, &[], &[]).scale;
     println!("=== A2: tagless vs tagged PPM Markov tables (scale {scale}) ===\n");
     println!(
         "{:<12} {:>10} {:>10} {:>16} {:>16}",

@@ -9,16 +9,14 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin cond_ppm [scale]`
 
+use ibp_bench::figure_args;
 use ibp_isa::BranchClass;
 use ibp_ppm::conditional::TablePpm;
 use ibp_predictors::conditional::{direction_accuracy, Bimodal, Gshare};
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = figure_args("cond_ppm [scale]", 0.25, &[], &[]).scale;
     println!("=== §3 companion: conditional direction prediction (scale {scale}) ===\n");
     println!(
         "{:<12} {:>10} {:>10} {:>12} {:>12}",

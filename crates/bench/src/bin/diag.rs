@@ -1,22 +1,29 @@
 //! Diagnostic: per-behaviour misprediction attribution for one benchmark
 //! run — development tooling for tuning the workload personalities.
 //!
-//! Usage: `cargo run --release -p ibp-bench --bin diag -- <run-label> [scale]`
+//! Usage: `cargo run --release -p ibp-bench --bin diag -- [run-label] [scale]`
+//! (`perl.std` at scale 0.25 by default)
 
+use ibp_bench::{exit_usage, parse_figure_args};
 use ibp_sim::{simulate, PredictorKind};
 use ibp_workloads::paper_suite;
 use std::collections::BTreeMap;
 
+const USAGE: &str = "diag [run-label] [scale]";
+
 fn main() {
-    let label = std::env::args().nth(1).unwrap_or_else(|| "perl.std".into());
-    let scale: f64 = std::env::args()
-        .nth(2)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (label, rest) = match args.split_first() {
+        Some((label, rest)) => (label.as_str(), rest),
+        None => ("perl.std", &[][..]),
+    };
+    let scale = parse_figure_args(rest, 0.25, &[], &[])
+        .unwrap_or_else(|e| exit_usage(&e, USAGE))
+        .scale;
     let run = paper_suite()
         .into_iter()
         .find(|r| r.label() == label)
-        .unwrap_or_else(|| panic!("unknown run {label}"));
+        .unwrap_or_else(|| exit_usage(&format!("unknown run {label:?}"), USAGE));
     let model = run.spec().build();
     let site_map: BTreeMap<u64, String> = model
         .site_descriptions()

@@ -13,16 +13,14 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin epilogue_ittage [scale]`
 
+use ibp_bench::figure_args;
 use ibp_predictors::PredictorState;
 use ibp_sim::report::render_grid;
 use ibp_sim::{compare_grid, PredictorKind};
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = figure_args("epilogue_ittage [scale]", 1.0, &[], &[]).scale;
     let kinds = [
         PredictorKind::Cascade,
         PredictorKind::PpmPib,

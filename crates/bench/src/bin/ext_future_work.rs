@@ -10,6 +10,7 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin ext_future_work [scale]`
 
+use ibp_bench::figure_args;
 use ibp_ppm::{FilteredPpm, PpmHybrid, SelectorKind, StackConfig, UpdateProtocol};
 use ibp_predictors::IndirectPredictor;
 use ibp_sim::report::pct;
@@ -29,10 +30,7 @@ fn mean<F: Fn() -> Box<dyn IndirectPredictor>>(build: F, traces: &[Trace]) -> f6
 }
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.25);
+    let scale = figure_args("ext_future_work [scale]", 0.25, &[], &[]).scale;
     let traces: Vec<Trace> = paper_suite()
         .iter()
         .map(|r| r.generate_scaled(scale))

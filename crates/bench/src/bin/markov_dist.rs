@@ -7,15 +7,13 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin markov_dist [scale]`
 
+use ibp_bench::figure_args;
 use ibp_ppm::PpmHybrid;
 use ibp_sim::simulate;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = figure_args("markov_dist [scale]", 1.0, &[], &[]).scale;
     println!("=== E4: Markov component access/miss distribution (PPM-hyb, scale {scale}) ===\n");
     println!(
         "{:<12} {:>12} {:>14} {:>12} {:>12}",

@@ -7,14 +7,12 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin oracle_photon [scale]`
 
+use ibp_bench::figure_args;
 use ibp_sim::{simulate, PredictorKind};
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = figure_args("oracle_photon [scale]", 1.0, &[], &[]).scale;
     let photon = paper_suite()
         .into_iter()
         .find(|r| r.spec().name == "photon")

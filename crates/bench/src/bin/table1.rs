@@ -8,13 +8,11 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin table1 [scale]`
 
+use ibp_bench::figure_args;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(1.0);
+    let scale = figure_args("table1 [scale]", 1.0, &[], &[]).scale;
     println!("=== Table 1: dynamic benchmark characteristics (scale {scale}) ===\n");
     println!(
         "{:<10} {:>6} {:>10} {:>10} {:>10} {:>9} {:>9} {:>8}",

@@ -11,16 +11,14 @@
 //!
 //! Usage: `cargo run --release -p ibp-bench --bin trace_entropy [scale]`
 
+use ibp_bench::figure_args;
 use ibp_compress::Ppm;
 use ibp_ppm::PpmHybrid;
 use ibp_sim::simulate;
 use ibp_workloads::paper_suite;
 
 fn main() {
-    let scale: f64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("scale must be a number"))
-        .unwrap_or(0.1);
+    let scale = figure_args("trace_entropy [scale]", 0.1, &[], &[]).scale;
     println!("=== branch streams under the PPM *compressor* (scale {scale}) ===\n");
     println!(
         "{:<12} {:>10} {:>14} {:>16}",

@@ -85,10 +85,14 @@ pub fn figure_args(
     valued: &[&str],
 ) -> FigureArgs {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_figure_args(&args, default_scale, switches, valued).unwrap_or_else(|e| {
-        eprintln!("{e}\nusage: {usage}");
-        std::process::exit(2);
-    })
+    parse_figure_args(&args, default_scale, switches, valued)
+        .unwrap_or_else(|e| exit_usage(&e, usage))
+}
+
+/// Prints `error` and `usage` on stderr and exits with status 2.
+pub fn exit_usage(error: &str, usage: &str) -> ! {
+    eprintln!("{error}\nusage: {usage}");
+    std::process::exit(2);
 }
 
 #[cfg(test)]

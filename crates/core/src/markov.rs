@@ -330,8 +330,7 @@ impl MarkovTable {
         self.tag_conflicts += u64::from(conflicted);
     }
 
-    /// Entry allocations since construction (or the last
-    /// [`clear`](Self::clear)).
+    /// Entry allocations since construction.
     pub fn allocations(&self) -> u64 {
         self.allocations
     }
@@ -346,14 +345,6 @@ impl MarkovTable {
     pub fn cost(&self) -> HardwareCost {
         let tag_bits = if self.tagged { 10 } else { 0 };
         HardwareCost::table(self.len() as u64, 64 + 2 + 1 + tag_bits)
-    }
-
-    /// Invalidates every entry and zeroes the telemetry tallies. A
-    /// sealed table reverts to private storage (reset means cold).
-    pub fn clear(&mut self) {
-        self.store = MarkovStore::Private(MarkovSlots::new(self.len(), self.encoding));
-        self.allocations = 0;
-        self.tag_conflicts = 0;
     }
 }
 
@@ -605,15 +596,6 @@ mod tests {
         let tagged = MarkovTable::new(3, 8, true).cost();
         assert_eq!(tagless.entries(), 8);
         assert!(tagged.bits() > tagless.bits());
-    }
-
-    #[test]
-    fn clear_invalidates() {
-        let mut t = MarkovTable::paper(2);
-        t.update(0, 0, Addr::new(0x900));
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.lookup(0, 0), None);
     }
 
     #[test]

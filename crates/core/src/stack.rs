@@ -394,7 +394,7 @@ impl MarkovStack {
     }
 
     /// Per-order table writes skipped by the update protocol (see the
-    /// field doc); zeroed by [`clear`](Self::clear).
+    /// field doc).
     pub fn excluded_updates(&self) -> u64 {
         self.excluded_updates
     }
@@ -434,15 +434,6 @@ impl MarkovStack {
     /// charged by the enclosing predictor).
     pub fn cost(&self) -> HardwareCost {
         self.tables.iter().map(|t| t.cost()).sum()
-    }
-
-    /// Invalidates every table and zeroes the telemetry tallies. Sealed
-    /// tables revert to private storage (reset means cold).
-    pub fn clear(&mut self) {
-        for t in self.tables.iter_mut() {
-            t.clear();
-        }
-        self.excluded_updates = 0;
     }
 
     /// True once [`seal`](Self::seal) has been called.
@@ -728,9 +719,6 @@ mod tests {
         assert!(names.iter().any(|(n, v)| n == "stack_occupancy" && *v == 10));
         assert!(names.iter().any(|(n, v)| n == "stack_excluded_updates" && *v == 9));
         assert!(names.iter().any(|(n, v)| n == "order10_occupancy" && *v == 1));
-
-        stack.clear();
-        assert_eq!(stack.excluded_updates(), 0);
     }
 
     #[test]
@@ -847,15 +835,4 @@ mod tests {
             fold_bits: 11,
             ..StackConfig::paper()
         });
-    }
-
-    #[test]
-    fn clear_invalidates_all_orders() {
-        let mut stack = MarkovStack::new(StackConfig::paper());
-        let phr = warm_phr(&[0x5]);
-        let l = stack.lookup(&phr, Addr::new(0x40));
-        stack.update(&l, Addr::new(0x40), Addr::new(0x900));
-        stack.clear();
-        assert_eq!(stack.lookup(&phr, Addr::new(0x40)).prediction(), None);
-    }
-}
+    }}

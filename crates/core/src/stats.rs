@@ -133,13 +133,6 @@ impl OrderStats {
             sink(&format!("order{j:02}_mispredicted"), self.misses(j));
         }
     }
-
-    /// Zeroes all counters.
-    pub fn reset(&mut self) {
-        self.accesses.iter_mut().for_each(|a| *a = 0);
-        self.misses.iter_mut().for_each(|m| *m = 0);
-        self.unprovided = 0;
-    }
 }
 
 impl ibp_hw::Persist for OrderStats {
@@ -247,15 +240,6 @@ mod tests {
         assert_eq!(a.accesses(3), 2);
         assert_eq!(a.misses(3), 1);
         assert_eq!(a.unprovided(), 1);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut s = OrderStats::new(2);
-        s.record(Some(1), false);
-        s.reset();
-        assert_eq!(s.total_accesses(), 0);
-        assert_eq!(s.total_misses(), 0);
     }
 
     #[test]

@@ -142,12 +142,6 @@ impl FoldedHistory {
         }
         out
     }
-
-    /// Clears all recorded history.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.folded = 0;
-    }
 }
 
 impl crate::persist::Persist for FoldedHistory {
@@ -238,15 +232,6 @@ mod tests {
             b.push(v);
         }
         assert_ne!(a.folded(), b.folded(), "folding must encode order");
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut f = FoldedHistory::new(8, 12, 3);
-        f.push(0x123);
-        f.clear();
-        assert!(f.is_empty());
-        assert_eq!(f.folded(), 0);
     }
 
     #[test]

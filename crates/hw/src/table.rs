@@ -208,8 +208,8 @@ impl<T> DirectMapped<T> {
         self.get(index).is_some()
     }
 
-    /// Inserts that displaced a valid entry since construction (or the
-    /// last [`clear`](Self::clear)): the table's aliasing pressure.
+    /// Inserts that displaced a valid entry since construction: the
+    /// table's aliasing pressure.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -227,15 +227,6 @@ impl<T> DirectMapped<T> {
             Slots::Private(_) => 0,
             Slots::Shared { delta, .. } => delta.len(),
         }
-    }
-
-    /// Invalidates every entry and zeroes the eviction tally. A sealed
-    /// table reverts to private storage: reset means cold, and a cold
-    /// table shares nothing worth keeping.
-    pub fn clear(&mut self) {
-        let len = self.len();
-        self.slots = Slots::Private((0..len).map(|_| None).collect());
-        self.evictions = 0;
     }
 
     /// Iterates over `(slot, entry)` pairs for valid entries.
@@ -590,8 +581,8 @@ impl<T> SetAssociative<T> {
         old.map(|w| (w.tag, w.value))
     }
 
-    /// LRU victims displaced since construction (or the last
-    /// [`clear`](Self::clear)): the table's conflict pressure.
+    /// LRU victims displaced since construction: the table's conflict
+    /// pressure.
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -604,17 +595,7 @@ impl<T> SetAssociative<T> {
             .iter_mut()
             .find(|w| w.as_ref().is_some_and(|w| w.tag == tag))?;
         slot.take().map(|w| w.value)
-    }
-
-    /// Invalidates every entry and zeroes the eviction tally.
-    pub fn clear(&mut self) {
-        for w in self.store.iter_mut() {
-            *w = None;
-        }
-        self.clock = 0;
-        self.evictions = 0;
-    }
-}
+    }}
 
 impl<T: PersistElem> Persist for SetAssociative<T> {
     /// Full-state only: LRU timestamps are behavioural (they pick
@@ -769,7 +750,7 @@ mod tests {
         t.insert(1, 2);
         assert_eq!(t.invalidate(0), Some(1));
         assert!(t.get(0).is_none());
-        t.clear();
+        assert_eq!(t.invalidate(1), Some(2));
         assert!(t.is_empty());
     }
 
@@ -878,8 +859,6 @@ mod tests {
         t.invalidate(0);
         t.insert(0, 3); // vacant again after invalidate
         assert_eq!(t.evictions(), 1);
-        t.clear();
-        assert_eq!(t.evictions(), 0);
 
         let mut s: SetAssociative<u32> = SetAssociative::new(1, 2);
         s.insert(0, 1, 10);
@@ -889,8 +868,6 @@ mod tests {
         assert_eq!(s.evictions(), 0);
         s.insert(0, 3, 30); // full set: LRU victim displaced
         assert_eq!(s.evictions(), 1);
-        s.clear();
-        assert_eq!(s.evictions(), 0);
     }
 
     #[test]
@@ -902,15 +879,6 @@ mod tests {
         b.insert(0, 7); // same final contents, no eviction
         assert_ne!(a.evictions(), b.evictions());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn set_assoc_clear() {
-        let mut t: SetAssociative<u32> = SetAssociative::new(2, 2);
-        t.insert(0, 1, 1);
-        t.insert(1, 2, 2);
-        t.clear();
-        assert_eq!(t.occupancy(), 0);
     }
 
     #[test]
@@ -985,16 +953,6 @@ mod tests {
         t.insert(0, 99);
         assert!(t.resident_bytes() > 0);
         assert!(t.resident_bytes() < private_bytes / 4);
-    }
-
-    #[test]
-    fn clear_unseals() {
-        let mut t: DirectMapped<u32> = DirectMapped::new(4);
-        t.insert(0, 1);
-        t.seal();
-        t.clear();
-        assert!(!t.is_sealed());
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   prediction;
 //! * eight tagged tables on a **geometric series of history lengths**
 //!   (2 → 108 events), each with its own partial-tag width (9..14 bits)
-//!   and three incrementally folded history registers (one for the index,
-//!   two — at different rotation steps — for the tag, the classic
-//!   CSR1/CSR2 pair that kills fold aliasing);
+//!   and three circular-shift registers folding one global path history
+//!   (one for the index, two — at different rotation steps — for the
+//!   tag, the classic CSR1/CSR2 pair that kills fold aliasing);
 //! * per-entry 2-bit confidence and a 2-bit **useful** counter;
 //! * **alt-prediction arbitration**: a newly allocated / low-confidence
 //!   provider may be overridden by the alternate prediction under a
@@ -37,7 +37,7 @@ use crate::history_group::HistoryGroup;
 use crate::traits::IndirectPredictor;
 use ibp_hw::bitspec::solve_entries;
 use ibp_hw::counter::{Saturating2Bit, SaturatingCounter};
-use ibp_hw::{FoldedHistory, HardwareCost, PersistElem, PersistError, StateSink, StateSource};
+use ibp_hw::{FastMod, HardwareCost, Persist, PersistElem, PersistError, StateSink, StateSource};
 use ibp_isa::Addr;
 use ibp_testkit::splitmix64;
 use ibp_trace::BranchEvent;
@@ -55,6 +55,78 @@ pub const TAG_BITS: [u32; NUM_TABLES] = [9, 9, 10, 10, 11, 12, 13, 14];
 
 /// Output width of each per-table index fold.
 const INDEX_FOLD_BITS: u32 = 12;
+
+/// Path bits each observed branch shifts into the global history.
+const CHUNK_BITS: u32 = 4;
+
+/// The longest history window, in observed events.
+const MAX_WINDOW: usize = HIST_EVENTS[NUM_TABLES - 1];
+
+/// Capacity of the path-history ring: a power of two above the longest
+/// window, so the chunk leaving any window is still in place when a
+/// shift reads it.
+const RING: usize = 128;
+const RING_MASK: usize = RING - 1;
+const _: () = assert!(MAX_WINDOW < RING);
+
+/// Folded registers: per table, the index fold and the tag's CSR1/CSR2.
+const NUM_FOLDS: usize = 3 * NUM_TABLES;
+
+/// One circular-shift register (CSR) over the path history: `width`
+/// bits holding the XOR, over each age `a < window`, of the chunk `a`
+/// shifts old rotated left by `(a · step) mod width`.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    width: u32,
+    step: u32,
+    window: usize,
+    /// `(window · step) mod width`: the rotation of the chunk leaving
+    /// the window.
+    exit_rot: u32,
+}
+
+impl Fold {
+    /// Rotates the `width`-bit value `v` left by `by < width`.
+    #[inline]
+    fn rotl(self, v: u32, by: u32) -> u32 {
+        ((v << by) | (v >> (self.width - by))) & ((1 << self.width) - 1)
+    }
+}
+
+/// Every CSR, in blob order: the eight index folds (step 1), the eight
+/// CSR1s (full tag width, step 1), then the eight CSR2s (one bit
+/// narrower, step 2).
+const FOLDS: [Fold; NUM_FOLDS] = {
+    let mut folds = [Fold {
+        width: 1,
+        step: 0,
+        window: 0,
+        exit_rot: 0,
+    }; NUM_FOLDS];
+    let mut k = 0;
+    while k < NUM_FOLDS {
+        let t = k % NUM_TABLES;
+        let (width, step) = match k / NUM_TABLES {
+            0 => (INDEX_FOLD_BITS, 1),
+            1 => (TAG_BITS[t], 1),
+            _ => (TAG_BITS[t] - 1, 2),
+        };
+        let window = HIST_EVENTS[t];
+        folds[k] = Fold {
+            width,
+            step,
+            window,
+            exit_rot: (window as u32 * step) % width,
+        };
+        k += 1;
+    }
+    folds
+};
+
+/// Bits of all CSRs together.
+fn csr_bits() -> u64 {
+    FOLDS.iter().map(|f| u64::from(f.width)).sum()
+}
 
 /// Bits per base-BTB entry: 64-bit target + 2-bit confidence + valid.
 const BASE_ENTRY_BITS: u64 = 64 + 2 + 1;
@@ -83,11 +155,8 @@ fn tagged_entry_bits(i: usize) -> u64 {
 /// Fixed (table-size-independent) register bits: the global path-history
 /// register, per-table folded CSRs, arbitration counter, tick, PRNG.
 fn register_bits() -> u64 {
-    let ghist = (HIST_EVENTS[NUM_TABLES - 1] * 4) as u64;
-    let csrs: u64 = (0..NUM_TABLES)
-        .map(|i| (INDEX_FOLD_BITS + TAG_BITS[i] + (TAG_BITS[i] - 1)) as u64)
-        .sum();
-    ghist + csrs + USE_ALT_BITS as u64 + TICK_BITS + PRNG_BITS
+    let ghist = MAX_WINDOW as u64 * u64::from(CHUNK_BITS);
+    ghist + csr_bits() + USE_ALT_BITS as u64 + TICK_BITS + PRNG_BITS
 }
 
 /// Configuration of [`Ittage64`], derived from a declared bit budget.
@@ -227,10 +296,167 @@ impl PersistElem for BaseEntry {
     }
 }
 
+/// The global path history and the CSRs folding it.
+///
+/// One ring holds the last chunks, the newest at `head`. A shift writes
+/// the new chunk and updates every CSR in O(1): rotate by its step, XOR
+/// the newcomer in, and XOR out the chunk leaving its window, read from
+/// the ring at the window's fixed age. A slot never written holds 0 and
+/// contributes nothing, so a short history needs no length check.
+#[derive(Debug, Clone)]
+struct PathFolds {
+    ring: [u8; RING],
+    head: usize,
+    /// Chunks shifted in, saturating at the longest window.
+    len: usize,
+    /// One register per entry of [`FOLDS`].
+    csrs: [u32; NUM_FOLDS],
+}
+
+impl PathFolds {
+    fn new() -> Self {
+        Self {
+            ring: [0; RING],
+            head: 0,
+            len: 0,
+            csrs: [0; NUM_FOLDS],
+        }
+    }
+
+    /// The chunk shifted in `age` shifts ago (0 = newest).
+    #[inline]
+    // ibp-lint: allow(L007, "the position is masked to the fixed ring length")
+    fn chunk(&self, age: usize) -> u8 {
+        self.ring[self.head.wrapping_sub(age) & RING_MASK]
+    }
+
+    /// Shifts a 4-bit chunk in and advances every CSR. Each CSR's
+    /// geometry is a constant argument, so every rotation compiles to
+    /// fixed shifts.
+    #[inline]
+    // ibp-lint: allow(L007, "ring positions are masked to the fixed ring length; CSR ids are constants below NUM_FOLDS")
+    fn shift_in(&mut self, chunk: u8) {
+        self.head = (self.head + 1) & RING_MASK;
+        self.ring[self.head] = chunk;
+        self.len = (self.len + 1).min(MAX_WINDOW);
+        let fresh = u32::from(chunk);
+        macro_rules! advance_all {
+            ($($k:literal)*) => {$(
+                self.csrs[$k] = advance::<
+                    { FOLDS[$k].width },
+                    { FOLDS[$k].step },
+                    { FOLDS[$k].window },
+                    { FOLDS[$k].exit_rot },
+                >(self.csrs[$k], &self.ring, self.head, fresh);
+            )*};
+        }
+        advance_all!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23);
+    }
+
+    /// `fold`'s register computed from scratch over the recorded chunks.
+    fn recompute(&self, fold: Fold) -> u32 {
+        (0..self.len.min(fold.window)).fold(0, |acc, age| {
+            let rot = (age as u32 * fold.step) % fold.width;
+            acc ^ fold.rotl(u32::from(self.chunk(age)), rot)
+        })
+    }
+
+    /// Every CSR equals its from-scratch fold, and every slot older than
+    /// the recorded history is still 0, as the shift assumes.
+    fn is_consistent(&self) -> bool {
+        self.csrs
+            .iter()
+            .zip(FOLDS)
+            .all(|(&csr, fold)| csr == self.recompute(fold))
+            && (self.len..MAX_WINDOW).all(|age| self.chunk(age) == 0)
+    }
+}
+
+/// One CSR after a shift: rotated by `S` within `W` bits, the newcomer
+/// XORed in, and the chunk `L` shifts old (at rotation `E`) XORed out.
+#[inline(always)]
+fn advance<const W: u32, const S: u32, const L: usize, const E: u32>(
+    csr: u32,
+    ring: &[u8; RING],
+    head: usize,
+    fresh: u32,
+) -> u32 {
+    let rotl = |v: u32, by: u32| ((v << by) | (v >> (W - by))) & ((1 << W) - 1);
+    // The masked position is always in range; `get` keeps this
+    // panic-free without a check the compiler does not already drop.
+    let leaving = u32::from(
+        ring.get(head.wrapping_sub(L) & RING_MASK)
+            .copied()
+            .unwrap_or(0),
+    );
+    rotl(csr, S) ^ fresh ^ rotl(leaving, E)
+}
+
+impl Persist for PathFolds {
+    /// Writes one ring per CSR, in [`FOLDS`] order: the geometry
+    /// (`width, 4, window, step`), the count `n = min(len, window)` and
+    /// the newest `n` chunks, oldest first. These are the bytes of one
+    /// `FoldedHistory` per CSR fed the same chunks.
+    fn save_state(&self, out: &mut StateSink<'_>) {
+        for fold in FOLDS {
+            let n = self.len.min(fold.window);
+            out.u32(fold.width);
+            out.u32(CHUNK_BITS);
+            out.usize(fold.window);
+            out.u32(fold.step);
+            out.usize(n);
+            for age in (0..n).rev() {
+                out.u64(u64::from(self.chunk(age)));
+            }
+        }
+    }
+
+    /// Reads all rings, requires each to be the newest `min(len,
+    /// window)` chunks of the longest index fold's ring (`len` chunks),
+    /// and replays that ring to rebuild the CSRs.
+    // ibp-lint: allow(L007, "constant index below NUM_FOLDS into a fixed array; `len - n` follows `n == len.min(window)`")
+    fn load_state(&mut self, src: &mut StateSource<'_>) -> Result<(), PersistError> {
+        let mut rings = [([0u8; MAX_WINDOW], 0usize); NUM_FOLDS];
+        for ((chunks, n), fold) in rings.iter_mut().zip(FOLDS) {
+            src.expect_u64(u64::from(fold.width), "folded history out_bits")?;
+            src.expect_u64(u64::from(CHUNK_BITS), "folded history in_bits")?;
+            src.expect_u64(fold.window as u64, "folded history length")?;
+            src.expect_u64(u64::from(fold.step), "folded history rotation")?;
+            *n = src.usize()?;
+            if *n > fold.window {
+                return Err(PersistError::Corrupt("folded history overfull"));
+            }
+            for chunk in chunks.iter_mut().take(*n) {
+                *chunk = match src.u64()? {
+                    c @ 0..=15 => c as u8,
+                    _ => return Err(PersistError::Corrupt("ITTAGE64 path chunk out of range")),
+                };
+            }
+        }
+        let (path, len) = rings[NUM_TABLES - 1];
+        let agree = rings.iter().zip(FOLDS).all(|((chunks, n), fold)| {
+            *n == len.min(fold.window) && chunks[..*n] == path[len - n..len]
+        });
+        if !agree {
+            return Err(PersistError::Corrupt("ITTAGE64 history rings disagree"));
+        }
+        *self = Self::new();
+        for &chunk in &path[..len] {
+            self.shift_in(chunk);
+        }
+        Ok(())
+    }
+}
+
 /// Lookup state carried from fetch to resolve.
 #[derive(Debug, Clone, Copy)]
 struct Lookup {
     pc: Addr,
+    /// Each tagged table's slot and partial tag for this pc and history.
+    slots: [u32; NUM_TABLES],
+    tags: [u16; NUM_TABLES],
+    /// The base BTB's slot for this pc.
+    base_slot: u32,
     /// Provider table (None = base BTB).
     provider: Option<usize>,
     /// What the provider said.
@@ -261,11 +487,11 @@ pub struct Ittage64 {
     config: Ittage64Config,
     base: Vec<Option<BaseEntry>>,
     tables: Vec<Vec<Option<T64Entry>>>,
-    idx_folds: Vec<FoldedHistory>,
-    /// CSR1: tag fold at rotation step 1, full tag width.
-    tag_folds1: Vec<FoldedHistory>,
-    /// CSR2: tag fold at rotation step 2, one bit narrower.
-    tag_folds2: Vec<FoldedHistory>,
+    /// Reduces a hash onto a tagged table's slots.
+    table_mod: FastMod,
+    /// Reduces a pc onto the base BTB's slots.
+    base_mod: FastMod,
+    history: PathFolds,
     use_alt_on_na: SaturatingCounter,
     /// Updates since the last aging epoch.
     tick: u32,
@@ -293,15 +519,9 @@ impl Ittage64 {
             tables: (0..NUM_TABLES)
                 .map(|_| vec![None; config.table_entries])
                 .collect(),
-            idx_folds: (0..NUM_TABLES)
-                .map(|i| FoldedHistory::new(INDEX_FOLD_BITS, 4, HIST_EVENTS[i]))
-                .collect(),
-            tag_folds1: (0..NUM_TABLES)
-                .map(|i| FoldedHistory::with_rotation(TAG_BITS[i], 4, HIST_EVENTS[i], 1))
-                .collect(),
-            tag_folds2: (0..NUM_TABLES)
-                .map(|i| FoldedHistory::with_rotation(TAG_BITS[i] - 1, 4, HIST_EVENTS[i], 2))
-                .collect(),
+            table_mod: FastMod::new(config.table_entries as u64),
+            base_mod: FastMod::new(config.base_entries as u64),
+            history: PathFolds::new(),
             use_alt_on_na: SaturatingCounter::new(USE_ALT_BITS, 8),
             tick: 0,
             rng: ALLOC_SEED,
@@ -335,61 +555,46 @@ impl Ittage64 {
             .sum()
     }
 
-    /// Checks the incremental-fold invariants: every fold equals its
-    /// from-scratch recomputation and tracks exactly its table's history
-    /// window, and every stored tag fits its table's declared width.
-    /// Used by the property suite.
+    /// Checks the incremental-fold invariants: every CSR equals its fold
+    /// of the path history computed from scratch, and every stored tag
+    /// fits its table's declared width. Used by the property suite.
     pub fn check_consistency(&self) -> bool {
-        let folds_ok = (0..NUM_TABLES).all(|i| {
-            self.idx_folds[i].folded() == self.idx_folds[i].recompute()
-                && self.tag_folds1[i].folded() == self.tag_folds1[i].recompute()
-                && self.tag_folds2[i].folded() == self.tag_folds2[i].recompute()
-                && self.idx_folds[i].len() <= HIST_EVENTS[i]
-        });
         let tags_ok = (0..NUM_TABLES).all(|i| {
             self.tables[i]
                 .iter()
                 .flatten()
                 .all(|e| (e.tag as u64) < (1u64 << TAG_BITS[i]))
         });
-        folds_ok && tags_ok
+        self.history.is_consistent() && tags_ok
     }
 
-    // ibp-lint: allow(L007, "table index enumerates self.tables; sizes validated nonzero at construction")
-    fn index_of(&self, table: usize, pc: Addr) -> usize {
-        let folded = self.idx_folds[table].folded();
-        let salt = (table as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        let mixed = (pc.raw() >> 2) ^ folded ^ (folded << 7) ^ salt;
-        (mixed % self.config.table_entries as u64) as usize
-    }
-
-    // ibp-lint: allow(L007, "table index enumerates self.tables")
-    fn tag_of(&self, table: usize, pc: Addr) -> u16 {
-        let f1 = self.tag_folds1[table].folded();
-        let f2 = self.tag_folds2[table].folded();
-        let mixed = (pc.raw() >> 2).wrapping_mul(0x9E37_79B9) ^ f1 ^ (f2 << 1);
-        (mixed & ((1u64 << TAG_BITS[table]) - 1)) as u16
-    }
-
-    // ibp-lint: allow(L007, "`% base.len()` with the base table validated nonempty")
-    fn base_index(&self, pc: Addr) -> usize {
-        ((pc.raw() >> 2) % self.config.base_entries as u64) as usize
-    }
-
-    /// Full ITTAGE lookup: longest tag hit provides, next hit (or base)
-    /// is the alternate, and a weak provider may defer to the alternate
-    /// under the `USE_ALT_ON_NA` arbitration counter.
-    // ibp-lint: allow(L007, "indices come from index_of/base_index, already reduced mod the table size")
+    /// Full ITTAGE lookup: every table's slot and tag, then the longest
+    /// tag hit provides, the next hit (or base) is the alternate, and a
+    /// weak provider may defer to the alternate under the
+    /// `USE_ALT_ON_NA` arbitration counter.
+    // ibp-lint: allow(L007, "table ids enumerate the fixed NUM_TABLES arrays; slots are reduced by each table's FastMod")
     fn lookup(&self, pc: Addr) -> Lookup {
+        let pc_bits = pc.raw() >> 2;
+        let tag_hash = pc_bits.wrapping_mul(0x9E37_79B9);
+        let csrs = &self.history.csrs;
+        let mut slots = [0u32; NUM_TABLES];
+        let mut tags = [0u16; NUM_TABLES];
+        for t in 0..NUM_TABLES {
+            let folded = u64::from(csrs[t]);
+            let salt = (t as u64 + 1).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+            slots[t] = self.table_mod.rem(pc_bits ^ folded ^ (folded << 7) ^ salt) as u32;
+            let f1 = u64::from(csrs[NUM_TABLES + t]);
+            let f2 = u64::from(csrs[2 * NUM_TABLES + t]);
+            tags[t] = ((tag_hash ^ f1 ^ (f2 << 1)) & ((1u64 << TAG_BITS[t]) - 1)) as u16;
+        }
         let mut provider = None;
         let mut provider_pred = None;
         let mut provider_weak = false;
         let mut alt_pred = None;
         let mut alt_found = false;
         for t in (0..NUM_TABLES).rev() {
-            let idx = self.index_of(t, pc);
-            if let Some(e) = &self.tables[t][idx] {
-                if e.tag == self.tag_of(t, pc) {
+            if let Some(e) = &self.tables[t][slots[t] as usize] {
+                if e.tag == tags[t] {
                     if provider.is_none() {
                         provider = Some(t);
                         provider_pred = Some(e.target);
@@ -402,7 +607,8 @@ impl Ittage64 {
                 }
             }
         }
-        let base_pred = self.base[self.base_index(pc)].map(|b| b.target);
+        let base_slot = self.base_mod.rem(pc_bits) as u32;
+        let base_pred = self.base[base_slot as usize].map(|b| b.target);
         if !alt_found {
             alt_pred = base_pred;
         }
@@ -418,6 +624,9 @@ impl Ittage64 {
         };
         Lookup {
             pc,
+            slots,
+            tags,
+            base_slot,
             provider,
             provider_pred,
             alt_pred,
@@ -430,9 +639,10 @@ impl Ittage64 {
     /// with SplitMix64-weighted skip (P=1/2 next, 1/4 each for the two
     /// after), claim the first non-useful slot scanning upward, and decay
     /// the u-counters of every scanned candidate when all are useful.
-    // ibp-lint: allow(L007, "table ids enumerate self.tables; entries indexed via index_of")
-    fn allocate_above(&mut self, provider: Option<usize>, pc: Addr, actual: Addr) {
-        let next = provider.map(|p| p + 1).unwrap_or(0);
+    /// Writes exactly the slots and tags `lk` computed.
+    // ibp-lint: allow(L007, "table ids enumerate self.tables; slots come from this predictor's own lookup")
+    fn allocate_above(&mut self, lk: &Lookup, actual: Addr) {
+        let next = lk.provider.map(|p| p + 1).unwrap_or(0);
         if next >= NUM_TABLES {
             return;
         }
@@ -443,13 +653,12 @@ impl Ittage64 {
         };
         let start = (next + skip).min(NUM_TABLES - 1);
         for t in start..NUM_TABLES {
-            let idx = self.index_of(t, pc);
-            let tag = self.tag_of(t, pc);
-            match &self.tables[t][idx] {
+            let slot = &mut self.tables[t][lk.slots[t] as usize];
+            match slot {
                 Some(e) if e.useful > 0 => continue,
                 _ => {
-                    self.tables[t][idx] = Some(T64Entry {
-                        tag,
+                    *slot = Some(T64Entry {
+                        tag: lk.tags[t],
                         target: actual,
                         // Weak on arrival: the entry must prove itself
                         // before the arbitration trusts it over the alt.
@@ -464,8 +673,7 @@ impl Ittage64 {
         // Every candidate useful: pay the allocation failure forward by
         // decaying their u-counters so the tables cannot wedge.
         for t in start..NUM_TABLES {
-            let idx = self.index_of(t, pc);
-            if let Some(e) = &mut self.tables[t][idx] {
+            if let Some(e) = &mut self.tables[t][lk.slots[t] as usize] {
                 e.useful = e.useful.saturating_sub(1);
             }
         }
@@ -539,8 +747,7 @@ impl IndirectPredictor for Ittage64 {
                     self.use_alt_on_na.decrement();
                 }
             }
-            let idx = self.index_of(t, pc);
-            if let Some(e) = &mut self.tables[t][idx] {
+            if let Some(e) = &mut self.tables[t][lk.slots[t] as usize] {
                 if provider_correct {
                     e.confidence.increment();
                 } else if e.confidence.value() == 0 {
@@ -562,8 +769,7 @@ impl IndirectPredictor for Ittage64 {
         }
         // The base BTB is the fallback for every future allocation miss;
         // keep it warm with 2-bit hysteresis on every resolve.
-        let bi = self.base_index(pc);
-        match &mut self.base[bi] {
+        match &mut self.base[lk.base_slot as usize] {
             Some(b) if b.target == actual => {
                 b.confidence.increment();
             }
@@ -586,7 +792,7 @@ impl IndirectPredictor for Ittage64 {
         // arbitration picked the wrong side of a correct provider, the
         // tables already hold the answer.
         if !correct && !provider_correct {
-            self.allocate_above(lk.provider, pc, actual);
+            self.allocate_above(&lk, actual);
         }
         self.age_tick();
     }
@@ -594,19 +800,8 @@ impl IndirectPredictor for Ittage64 {
     fn observe(&mut self, event: &BranchEvent) {
         if self.config.group.accepts(event) {
             // Each branch contributes 4 target bits to every window.
-            let chunk = event.target().path_bits() & 0xF;
-            for f in self.idx_folds.iter_mut() {
-                // ibp-lint: allow(L008, "FoldedHistory::push writes a bounded ring, not Vec growth")
-                f.push(chunk);
-            }
-            for f in self.tag_folds1.iter_mut() {
-                // ibp-lint: allow(L008, "FoldedHistory::push writes a bounded ring, not Vec growth")
-                f.push(chunk);
-            }
-            for f in self.tag_folds2.iter_mut() {
-                // ibp-lint: allow(L008, "FoldedHistory::push writes a bounded ring, not Vec growth")
-                f.push(chunk);
-            }
+            self.history
+                .shift_in((event.target().path_bits() & 0xF) as u8);
         }
     }
 
@@ -676,20 +871,11 @@ impl IndirectPredictor for Ittage64 {
         check self.tables.iter().zip(TAG_BITS)
             .all(|(t, bits)| t.iter().flatten().all(|e| e.tag >> bits == 0)),
             "ITTAGE64 tag too wide";
-        // The longest index fold's window is the global path history
-        // register; every shorter window is a prefix of it.
-        for i in (0..NUM_TABLES) {
-            "T"(i) [
-                History(u64::from(INDEX_FOLD_BITS)) index_csr,
-                History(if i == NUM_TABLES - 1 { HIST_EVENTS[i] as u64 * 4 } else { 0 }) path_history,
-            ] => self.idx_folds[i];
-        }
-        for i in (0..NUM_TABLES) {
-            "T"(i) [History(u64::from(TAG_BITS[i])) tag_csr1] => self.tag_folds1[i];
-        }
-        for i in (0..NUM_TABLES) {
-            "T"(i) [History(u64::from(TAG_BITS[i] - 1)) tag_csr2] => self.tag_folds2[i];
-        }
+        // The global path history register and every CSR folding it.
+        "history" [
+            History(MAX_WINDOW as u64 * u64::from(CHUNK_BITS)) path,
+            History(csr_bits()) csrs,
+        ] => self.history;
     }
 }
 
@@ -871,6 +1057,166 @@ mod tests {
             .load_state(&mut ibp_hw::StateSource::new(&blob))
             .is_err());
         assert!(p.resident_bytes() > 0);
+    }
+
+    /// A history fed `n` pseudo-random chunks.
+    fn history_of(n: usize) -> PathFolds {
+        let mut h = PathFolds::new();
+        let mut rng = 7;
+        for _ in 0..n {
+            h.shift_in((splitmix64(&mut rng) & 0xF) as u8);
+        }
+        h
+    }
+
+    fn history_blob(h: &PathFolds) -> Vec<u8> {
+        let mut blob = Vec::new();
+        h.save_state(&mut StateSink::new(&mut blob));
+        blob
+    }
+
+    /// The rings a saved history holds, one per CSR, oldest chunk first.
+    fn rings_of(h: &PathFolds) -> Vec<Vec<u64>> {
+        FOLDS
+            .iter()
+            .map(|f| {
+                let n = h.len.min(f.window);
+                (0..n).rev().map(|age| u64::from(h.chunk(age))).collect()
+            })
+            .collect()
+    }
+
+    /// A blob holding `rings`, each under its CSR's geometry.
+    fn rings_blob(rings: &[Vec<u64>]) -> Vec<u8> {
+        let mut blob = Vec::new();
+        let mut out = StateSink::new(&mut blob);
+        for (fold, ring) in FOLDS.iter().zip(rings) {
+            out.u32(fold.width);
+            out.u32(CHUNK_BITS);
+            out.usize(fold.window);
+            out.u32(fold.step);
+            out.usize(ring.len());
+            for &chunk in ring {
+                out.u64(chunk);
+            }
+        }
+        blob
+    }
+
+    fn load_history(blob: &[u8]) -> Result<PathFolds, PersistError> {
+        let mut h = PathFolds::new();
+        h.load_state(&mut StateSource::new(blob))?;
+        Ok(h)
+    }
+
+    #[test]
+    fn history_keeps_the_folded_history_bytes_and_values() {
+        use ibp_hw::FoldedHistory;
+        for n in [0, 1, 5, 40, 108, 300] {
+            let mut folds: Vec<FoldedHistory> = FOLDS
+                .iter()
+                .map(|f| FoldedHistory::with_rotation(f.width, CHUNK_BITS, f.window, f.step))
+                .collect();
+            let h = history_of(n);
+            for age in (0..h.len).rev() {
+                for f in &mut folds {
+                    f.push(u64::from(h.chunk(age)));
+                }
+            }
+            let mut want = Vec::new();
+            for f in &folds {
+                f.save_state(&mut StateSink::new(&mut want));
+            }
+            assert_eq!(history_blob(&h), want, "{n} chunks");
+            let csrs: Vec<u64> = h.csrs.iter().map(|&c| u64::from(c)).collect();
+            let folded: Vec<u64> = folds.iter().map(FoldedHistory::folded).collect();
+            assert_eq!(csrs, folded, "{n} chunks");
+            assert!(h.is_consistent());
+        }
+    }
+
+    #[test]
+    fn history_load_restores_and_resaves_identically() {
+        for n in [0, 3, 50, 108, 500] {
+            let h = history_of(n);
+            let blob = history_blob(&h);
+            let loaded = load_history(&blob).unwrap();
+            assert!(loaded.is_consistent());
+            assert_eq!(loaded.csrs, h.csrs, "{n} chunks");
+            assert_eq!(history_blob(&loaded), blob, "{n} chunks");
+        }
+    }
+
+    #[test]
+    fn history_load_rejects_a_tag_ring_off_the_path() {
+        let mut rings = rings_of(&history_of(50));
+        assert_eq!(load_history(&rings_blob(&rings)).map(|_| ()), Ok(()));
+        // CSR1 of table 2: its newest chunk no longer ends the path.
+        let ring = &mut rings[NUM_TABLES + 2];
+        *ring.last_mut().unwrap() ^= 1;
+        assert_eq!(
+            load_history(&rings_blob(&rings)).map(|_| ()),
+            Err(PersistError::Corrupt("ITTAGE64 history rings disagree"))
+        );
+    }
+
+    #[test]
+    fn history_load_rejects_a_ring_of_the_wrong_length() {
+        // Table 3's window is 13 of the 50 chunks; a 12-chunk ring is a
+        // suffix of the path but not min(50, 13) long.
+        let mut rings = rings_of(&history_of(50));
+        rings[3].remove(0);
+        assert_eq!(
+            load_history(&rings_blob(&rings)).map(|_| ()),
+            Err(PersistError::Corrupt("ITTAGE64 history rings disagree"))
+        );
+        // A longest index ring shorter than table 7's tag rings.
+        let mut rings = rings_of(&history_of(50));
+        rings[NUM_TABLES - 1].remove(0);
+        assert_eq!(
+            load_history(&rings_blob(&rings)).map(|_| ()),
+            Err(PersistError::Corrupt("ITTAGE64 history rings disagree"))
+        );
+    }
+
+    #[test]
+    fn history_load_rejects_a_wide_chunk() {
+        let mut rings = rings_of(&history_of(50));
+        for ring in &mut rings {
+            *ring.last_mut().unwrap() = 16;
+        }
+        assert_eq!(
+            load_history(&rings_blob(&rings)).map(|_| ()),
+            Err(PersistError::Corrupt("ITTAGE64 path chunk out of range"))
+        );
+    }
+
+    #[test]
+    fn history_load_rejects_an_overfull_ring() {
+        let mut rings = rings_of(&history_of(50));
+        rings[0].insert(0, 0);
+        assert_eq!(
+            load_history(&rings_blob(&rings)).map(|_| ()),
+            Err(PersistError::Corrupt("folded history overfull"))
+        );
+    }
+
+    #[test]
+    fn saved_predictor_loads_and_resaves_identically() {
+        let mut p = Ittage64::new(Ittage64Config::budget_8kb());
+        for i in 0..700u64 {
+            let pc = Addr::new(0x100 + (i % 11) * 4);
+            let t = Addr::new(0x1000 + ((i * 7) % 13) * 0x40 + 4);
+            drive(&mut p, pc, t);
+        }
+        let mut blob = Vec::new();
+        p.save_state(&mut StateSink::new(&mut blob));
+        let mut q = Ittage64::new(Ittage64Config::budget_8kb());
+        q.load_state(&mut StateSource::new(&blob)).unwrap();
+        assert!(q.check_consistency());
+        let mut again = Vec::new();
+        q.save_state(&mut StateSink::new(&mut again));
+        assert_eq!(again, blob);
     }
 
     #[test]

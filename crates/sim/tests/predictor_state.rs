@@ -52,9 +52,9 @@ const PINS: [Pin; 15] = [
     Pin { cli: "ppm-hyb-biased", blobs: [0xdcbfe9c8bd3ee43b, 0x08e59ef90166ad12, 0x4c6d79ec8e612af8, 0xfa75a14d7df51415], resident: [68816, 23804, 22608, 22608], storage_bits: 137426 },
     Pin { cli: "oracle-pib:8", blobs: [0xac7b00489f589c3d, 0x18442d7ab5f7dea8, 0xb4818d542727cb9c, 0x239c8e2eaa741c21], resident: [20064, 20064, 20064, 20064], storage_bits: 154880 },
     Pin { cli: "ittage", blobs: [0x932f525cefaf3672, 0x4e0d9f5638d11223, 0xf8df615e7226bb5a, 0x6dd8ad23aed06bb1], resident: [46160, 46160, 46160, 46160], storage_bits: 153216 },
-    Pin { cli: "ittage64-8k", blobs: [0x25bf7db447894ab2, 0xa00a7280739fd6af, 0x64b3b87a280bbe5c, 0xe9d92082d80ddc03], resident: [32480, 32480, 32480, 32480], storage_bits: 65491 },
-    Pin { cli: "ittage64-16k", blobs: [0x943b114df4e0f52e, 0xeaf3e7a54d416fe7, 0xa2a377fb2487b416, 0x1c2f7d7dc2f21e31], resident: [58224, 58224, 58224, 58224], storage_bits: 131013 },
-    Pin { cli: "ittage64-64k", blobs: [0x00b3ae007481d49f, 0x404b039c2d9679dc, 0x5055059bc06b2499, 0xc8118f41083cfdc4], resident: [212680, 212680, 212680, 212680], storage_bits: 524272 },
+    Pin { cli: "ittage64-8k", blobs: [0x25bf7db447894ab2, 0xa00a7280739fd6af, 0x64b3b87a280bbe5c, 0xe9d92082d80ddc03], resident: [26264, 26264, 26264, 26264], storage_bits: 65491 },
+    Pin { cli: "ittage64-16k", blobs: [0x943b114df4e0f52e, 0xeaf3e7a54d416fe7, 0xa2a377fb2487b416, 0x1c2f7d7dc2f21e31], resident: [52008, 52008, 52008, 52008], storage_bits: 131013 },
+    Pin { cli: "ittage64-64k", blobs: [0x00b3ae007481d49f, 0x404b039c2d9679dc, 0x5055059bc06b2499, 0xc8118f41083cfdc4], resident: [206464, 206464, 206464, 206464], storage_bits: 524272 },
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

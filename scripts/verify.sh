@@ -108,6 +108,12 @@ echo "== PPM reference models (every prediction vs a plain model) =="
 # telemetry must agree, on generated streams and all fifteen suite runs.
 cargo test -q --offline -p ibp-ppm --test reference_model
 
+echo "== ITTAGE64 reference model (every prediction vs a plain model) =="
+# The 8/16/64 KB presets and an 8 KB config with a short aging period
+# against a model that keeps the path history as a plain deque, refolds
+# every index and tag from scratch on each lookup and reduces with %.
+cargo test -q --offline -p ibp-predictors --test ittage64_reference
+
 echo "== storage-bit audit (bitreport) + 1% divergence gate =="
 # Two independent derivations of every zoo predictor's storage
 # footprint — config-declared cost() vs the allocated-state
